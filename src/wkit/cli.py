@@ -17,6 +17,7 @@ from .groupring import even_coefficient_parity_check, hall_identity_check, mod2_
 from .hadamard import is_hadamard, matrix_to_text, williamson_array
 from .search import ORDER_CAP, SearchConfig, format_results, search
 from .seqcore import (
+    MAX_ORDER,
     ParseError,
     PreconditionError,
     is_symmetric,
@@ -37,16 +38,28 @@ from .theorems import (
 OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
 
 
+class CliError(Exception):
+    """Bad input or environment, reported as one line with exit status 2."""
+
+
 def _read_lines(path: str | None) -> list[str]:
-    data = sys.stdin.read() if path is None else Path(path).read_text()
+    try:
+        data = sys.stdin.read() if path is None else Path(path).read_text()
+    except OSError as exc:
+        source = "stdin" if path is None else path
+        raise CliError(f"cannot read {source}: {exc.strerror or exc}") from exc
     return data.splitlines()
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    try:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            Path(path).write_text(text)
+    except OSError as exc:
+        target = "stdout" if path is None else path
+        raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _order_cap() -> int:
@@ -54,9 +67,12 @@ def _order_cap() -> int:
     if raw is None:
         return ORDER_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"invalid WKIT_MAX_N value {raw!r}")
+    if not 1 <= cap <= MAX_ORDER:
+        raise ValueError(f"WKIT_MAX_N {cap} outside 1..{MAX_ORDER}")
+    return cap
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -254,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"wkit {args.command}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

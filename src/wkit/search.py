@@ -1,19 +1,42 @@
 """Exhaustive enumeration of Williamson quadruples of a given order.
 
-Strategy: enumerate symmetric candidates for the first three slots, then
-scan symmetric candidates for the fourth slot against the PAF deficit the
-first three leave behind (a candidate completes the quadruple iff its PAF
-vector cancels theirs at every shift in 1..n//2).  Three optional filters
-prune fully assigned candidates before the PAF test, in fixed order:
+Strategy: a meet-in-the-middle join on PAF sums.  A quadruple (A, B, C, D)
+of symmetric sequences is Williamson iff PAF_A + PAF_B = -(PAF_C + PAF_D)
+at every shift in 1..n//2.  Every ordered pair (C, D) is indexed by the
+negation of its PAF sum, and every pair (A, B) is looked up in that index,
+so the work is count^2 pairs instead of count^4 quadruples, where count is
+the number of symmetric sequences of order n.
+
+Three optional filters are necessary conditions on a full candidate,
+applied in fixed order, and the report says how much each one would prune
+from the count^4 candidate space:
 
   rowsum   - the four row sums must have squares summing to 4n;
   product  - the parity-appropriate entrywise product condition;
-  mod4     - the four 2-compressions must sum to 0 mod 4 entrywise.
+  mod4     - the four 2-compressions must sum to 0 mod 4 entrywise
+             (even n only).
 
-Filters are necessary conditions only, so enabling any combination never
-changes the result set; the report records how much each one pruned.
-Candidates are accounted exactly: examined + pruned equals the number of
-symmetric quadruples.
+Every Williamson quadruple passes all three, so the join finds the same set
+whichever filters are on, and the counters are computed exactly rather
+than by visiting candidates.  Each sequence gets a class (row sum, product
+signature), where the signature is xor-linear: the signature of the
+entrywise product of a quadruple is the xor of its four signatures, and the
+product condition holds iff that xor equals a fixed target.  On even n the
+mod4 condition is the same test (an entry of the compression sum is 2 mod
+4 exactly when an odd number of the four sequences differ at i and i+n/2).
+Histograms of the (A, B) and (C, D) pairs by (row-sum pair, signature xor)
+then give
+
+  R = candidates whose row sums are admissible (`rowsum_prefilter`),
+      or the whole space when the row-sum filter is off;
+  P = those of R whose four signatures xor to the target;
+
+  pruned_rowsum = space - R
+  pruned_product = R - P              if product is on
+  pruned_mod4 = R - P                 if product is off, mod4 on, n even
+  candidates_examined = the rest.
+
+So examined + pruned equals the number of symmetric quadruples, count^4.
 
 The candidate space is statically partitioned into first-slot index blocks
 processed by independent workers; per-block results are merged, counters
@@ -31,16 +54,17 @@ from dataclasses import dataclass, field
 from .seqcore import (
     PmOneSequence,
     WilliamsonQuadruple,
+    _paf_vector,
     parse_quadruple,
     quadruple_to_text,
     sequence_to_text,
 )
 from .theorems import product_condition
 
-# Exhaustive-mode order cap; 2^(n//2 + 1) symmetric sequences per slot keeps
-# the full product tractable on a desktop up to here.  The CLI can override
-# it through WKIT_MAX_N.
-ORDER_CAP = 14
+# Exhaustive-mode order cap.  The join does count^2 = 4^(n//2 + 1) pair
+# lookups, so each two-step rise in n costs about 4x; n = 16 takes seconds
+# in pure Python.  The CLI can override it through WKIT_MAX_N.
+ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -55,6 +79,14 @@ class SearchConfig:
 
 @dataclass
 class SearchReport:
+    """Counts and timing of one search.
+
+    Accounting identity: candidates_examined plus the sum of
+    candidates_pruned_by_filter equals count^4, the number of quadruples of
+    symmetric sequences of order n.  A candidate is pruned by the first
+    enabled filter (rowsum, product, mod4) it fails and examined otherwise.
+    """
+
     raw_count: int = 0
     canonical_count: int = 0
     candidates_examined: int = 0
@@ -106,6 +138,28 @@ def rowsum_prefilter(n: int) -> set[tuple[int, int, int, int]]:
     return out
 
 
+def _product_signatures(seqs: list[tuple[int, ...]]) -> tuple[list[int], int]:
+    """Xor-linear product signature of each symmetric sequence of one order,
+    and the target the four signatures of a quadruple must xor to.
+
+    Even n = 2m: bit i is [s_i != s_{i+m}] for 0 <= i < m.  Odd n: bit i-1
+    is [s_i != s_0] for 1 <= i <= (n-1)/2.  The target is read off
+    `product_condition`, called once per sequence: products of symmetric
+    sequences are symmetric, so `seqs` holds every product sequence the
+    search can meet, and the condition must accept exactly one signature.
+    """
+    n = len(seqs[0])
+    if n % 2 == 0:
+        pairs = [(i, i + n // 2) for i in range(n // 2)]
+    else:
+        pairs = [(i, 0) for i in range(1, (n + 1) // 2)]
+    sigs = [sum(1 << k for k, (i, j) in enumerate(pairs) if s[i] != s[j]) for s in seqs]
+    accepted = [product_condition(s) for s in seqs]
+    (target,) = {sig for sig, ok in zip(sigs, accepted) if ok}
+    assert all((sig == target) == ok for sig, ok in zip(sigs, accepted))
+    return sigs, target
+
+
 def _blocks(count: int, workers: int) -> list[tuple[int, int]]:
     """Split range(count) into at most `workers` contiguous nonempty blocks."""
     workers = min(workers, count)
@@ -119,8 +173,29 @@ def _blocks(count: int, workers: int) -> list[tuple[int, int]]:
     return blocks
 
 
+def _class_counts(classes: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for c in classes:
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def _pair_histogram(
+    left: dict[tuple[int, int], int], right: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], dict[int, int]]:
+    """Ordered pairs of sequences, the first counted in `left` and the second
+    in `right` by class (row sum, signature), as
+    {(row sum, row sum): {signature xor: number of pairs}}."""
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for (ra, xa), na in left.items():
+        for (rb, xb), nb in right.items():
+            bucket = out.setdefault((ra, rb), {})
+            bucket[xa ^ xb] = bucket.get(xa ^ xb, 0) + na * nb
+    return out
+
+
 def _search_block(args: tuple) -> tuple[list[tuple[int, int, int, int]], int, int, int, int]:
-    """Scan first-slot indices [lo, hi) of the symmetric candidate space.
+    """Join first-slot indices [lo, hi) against the whole candidate space.
 
     Rebuilds the per-order tables locally so worker processes share no
     state.  Returns found index quadruples plus exact accounting.
@@ -128,75 +203,44 @@ def _search_block(args: tuple) -> tuple[list[tuple[int, int, int, int]], int, in
     n, lo, hi, use_rowsum, use_product, use_mod4 = args
     seqs = [s.entries for s in enumerate_symmetric(n)]
     count = len(seqs)
-    half = n // 2
-    shifts = range(half)
-    pafs = [
-        tuple(sum(s[i] * s[(i + k) % n] for i in range(n)) for k in range(1, half + 1))
-        for s in seqs
-    ]
-    masks = [sum(1 << i for i, v in enumerate(s) if v < 0) for s in seqs]
-    rowsums = [sum(s) for s in seqs]
+    pafs = [_paf_vector(s)[1 : n // 2 + 1] for s in seqs]
 
-    even = n % 2 == 0
-    apply_mod4 = use_mod4 and even
-    m = n // 2
-    folds = [tuple(s[i] + s[i + m] for i in range(m)) for s in seqs] if apply_mod4 else None
-
-    ptable = None
-    if use_product:
-        # product filter keyed on the xor of the four sign masks: bit i set
-        # means the entrywise product at i is -1
-        ptable = [
-            product_condition([-1 if x >> i & 1 else 1 for i in range(n)])
-            for x in range(1 << n)
-        ]
-
-    adm3: dict[tuple[int, int, int], set[int]] | None = None
-    if use_rowsum:
-        adm3 = {}
-        for sa, sb, sc, sd in rowsum_prefilter(n):
-            adm3.setdefault((sa, sb, sc), set()).add(sd)
-
+    cd_index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ic, pc in enumerate(pafs):
+        for id_, pd in enumerate(pafs):
+            key = tuple([-(x + y) for x, y in zip(pc, pd)])
+            cd_index.setdefault(key, []).append((ic, id_))
     found: list[tuple[int, int, int, int]] = []
-    examined = 0
-    pr_rowsum = pr_product = pr_mod4 = 0
-    no_sums: set[int] = set()
-    rng = range(count)
-
     for ia in range(lo, hi):
-        pa, ma, ra = pafs[ia], masks[ia], rowsums[ia]
-        fa = folds[ia] if apply_mod4 else None
-        for ib in rng:
-            pb, rb = pafs[ib], rowsums[ib]
-            mab = ma ^ masks[ib]
-            fab = [x + y for x, y in zip(fa, folds[ib])] if apply_mod4 else None
-            for ic in rng:
-                pc = pafs[ic]
-                need = tuple(-(pa[k] + pb[k] + pc[k]) for k in shifts)
-                mabc = mab ^ masks[ic]
-                allowed = adm3.get((ra, rb, rowsums[ic]), no_sums) if use_rowsum else None
-                fabc = [x + y for x, y in zip(fab, folds[ic])] if apply_mod4 else None
-                for idx in rng:
-                    if use_rowsum and rowsums[idx] not in allowed:
-                        pr_rowsum += 1
-                        continue
-                    if use_product and not ptable[mabc ^ masks[idx]]:
-                        pr_product += 1
-                        continue
-                    if apply_mod4:
-                        fd = folds[idx]
-                        ok = True
-                        for i in range(m):
-                            if (fabc[i] + fd[i]) % 4:
-                                ok = False
-                                break
-                        if not ok:
-                            pr_mod4 += 1
-                            continue
-                    examined += 1
-                    if pafs[idx] == need:
-                        found.append((ia, ib, ic, idx))
-    return found, examined, pr_rowsum, pr_product, pr_mod4
+        pa = pafs[ia]
+        for ib, pb in enumerate(pafs):
+            key = tuple([x + y for x, y in zip(pa, pb)])
+            found.extend((ia, ib, ic, id_) for ic, id_ in cd_index.get(key, ()))
+
+    # With the row-sum filter off every sequence is in row class 0, so one
+    # bucket holds every pair and nothing is pruned by row sums.
+    sigs, target = _product_signatures(seqs)
+    rows = [sum(s) for s in seqs] if use_rowsum else [0] * count
+    admissible = rowsum_prefilter(n) if use_rowsum else {(0, 0, 0, 0)}
+    classes = list(zip(rows, sigs))
+    every = _class_counts(classes)
+    ab = _pair_histogram(_class_counts(classes[lo:hi]), every)
+    cd = _pair_histogram(every, every)
+    admitted = kept = 0
+    for sa, sb, sc, sd in admissible:
+        ab_sigs, cd_sigs = ab.get((sa, sb), {}), cd.get((sc, sd), {})
+        admitted += sum(ab_sigs.values()) * sum(cd_sigs.values())
+        kept += sum(k * cd_sigs.get(x ^ target, 0) for x, k in ab_sigs.items())
+
+    pr_rowsum = (hi - lo) * count**3 - admitted
+    pr_product = pr_mod4 = 0
+    if use_product:
+        pr_product = admitted - kept
+    elif use_mod4 and n % 2 == 0:
+        pr_mod4 = admitted - kept
+    else:
+        kept = admitted
+    return found, kept, pr_rowsum, pr_product, pr_mod4
 
 
 def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[WilliamsonQuadruple], SearchReport]:
@@ -233,15 +277,20 @@ def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[Willia
         report.candidates_pruned_by_filter["product"] += pr_product
         report.candidates_pruned_by_filter["mod4"] += pr_mod4
 
-    quads = [
-        WilliamsonQuadruple(seq_objs[i], seq_objs[j], seq_objs[k], seq_objs[l])
-        for i, j, k, l in found_idx
-    ]
-    quads.sort(key=quadruple_to_text)
-    canonical_texts = sorted({_canonical_text(q) for q in quads})
-    report.raw_count = len(quads)
-    report.canonical_count = len(canonical_texts)
-    result = [parse_quadruple(t) for t in canonical_texts] if cfg.canonical_only else quads
+    # Text once per sequence: sorting and canonical forms work on these
+    # strings, and the canonical minimum per slot is the lesser of a
+    # sequence's text and its negation's (see _canonical_text).
+    texts = [sequence_to_text(s) for s in seq_objs]
+    by_text = dict(zip(texts, seq_objs))
+    lowest = [min(t, sequence_to_text(s.negated())) for t, s in zip(texts, seq_objs)]
+    found_idx.sort(key=lambda idx: [texts[i] for i in idx])
+    canonical = sorted({tuple(sorted(lowest[i] for i in idx)) for idx in found_idx})
+    report.raw_count = len(found_idx)
+    report.canonical_count = len(canonical)
+    if cfg.canonical_only:
+        result = [WilliamsonQuadruple(*(by_text[t] for t in c)) for c in canonical]
+    else:
+        result = [WilliamsonQuadruple(*(seq_objs[i] for i in idx)) for idx in found_idx]
     report.elapsed = time.perf_counter() - start
     return result, report
 

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from wkit.cli import OK, USAGE_ERROR, VERIFY_FAILED, main
+from wkit.search import ORDER_CAP
+from wkit.seqcore import MAX_ORDER
 
 
 @pytest.fixture(autouse=True)
@@ -132,7 +134,7 @@ def test_search_rejects_bad_orders(run_cli):
     rc, _, err = run_cli(["search", "--n", "0"])
     assert rc == USAGE_ERROR
     assert "wkit search:" in err
-    rc, _, err = run_cli(["search", "--n", "15"])
+    rc, _, err = run_cli(["search", "--n", str(ORDER_CAP + 1)])
     assert rc == USAGE_ERROR
 
 
@@ -151,6 +153,15 @@ def test_search_env_cap_junk(run_cli, monkeypatch):
     rc, _, err = run_cli(["search", "--n", "2"])
     assert rc == USAGE_ERROR
     assert "WKIT_MAX_N" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "0", str(MAX_ORDER + 1)])
+def test_search_env_cap_out_of_range(run_cli, monkeypatch, value):
+    monkeypatch.setenv("WKIT_MAX_N", value)
+    rc, out, err = run_cli(["search", "--n", "2"])
+    assert rc == USAGE_ERROR
+    assert out == ""
+    assert err == f"wkit search: WKIT_MAX_N {value} outside 1..{MAX_ORDER}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +289,28 @@ def test_search_round_trip_via_stdin(run_cli):
     rc, out, _ = run_cli(["verify"], quads)
     assert rc == OK
     assert all("PASS" in line for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--in", "{missing}"],
+        ["compress", "--in", "{missing}"],
+        ["hadamard", "--in", "{missing}"],
+        ["check", "williamson", "--in", "{missing}"],
+        ["search", "--n", "2", "--out", "{missing}/results.txt"],
+        ["verify", "--out", "{missing}/report.txt"],
+    ],
+)
+def test_unreadable_input_or_unwritable_output_is_usage_error(run_cli, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    argv = [arg.format(missing=missing) for arg in argv]
+    rc, out, err = run_cli(argv, "+;+;+;+\n")
+    assert rc == USAGE_ERROR
+    assert out == ""
+    assert err.startswith(f"wkit {argv[0]}: cannot ")
+    assert missing in err
+    assert err.count("\n") == 1
 
 
 def test_missing_subcommand_is_usage_error():

@@ -8,6 +8,7 @@ from conftest import make_rng, random_quadruple, symmetric_by_definition, symmet
 from wkit.search import (
     ORDER_CAP,
     SearchConfig,
+    _product_signatures,
     canonicalize,
     enumerate_symmetric,
     format_results,
@@ -23,12 +24,18 @@ from wkit.seqcore import (
     row_sum,
     sequence_to_text,
 )
+from wkit.theorems import product_condition
 
 # Raw counts per order.  1 and 2 are contract values; 3..5 are additionally
 # cross-checked against the naive matrix-only scan below, and 6..8 are
 # pinned here after confirming filter invariance and the per-quadruple
 # oracles hold on every member.
 RAW_COUNTS = {1: 16, 2: 96, 3: 64, 4: 256, 5: 192, 6: 1536, 7: 960, 8: 1536}
+
+# (raw, canonical) counts at the larger orders the join reaches, each
+# cross-checked against the independent numpy pair-sum join in
+# perfbench/oracle.py.
+LARGE_COUNTS = {12: (16384, 52), 14: (87552, 228), 16: (24576, 100)}
 
 
 def _candidate_space(n):
@@ -120,6 +127,16 @@ def test_raw_counts(found_by_order):
         assert len(quads) == want
 
 
+@pytest.mark.parametrize("n", sorted(LARGE_COUNTS))
+def test_large_order_counts(n):
+    quads, report = search(SearchConfig(n=n))
+    assert (report.raw_count, report.canonical_count) == LARGE_COUNTS[n]
+    assert len(quads) == report.raw_count
+    assert report.candidates_examined + sum(
+        report.candidates_pruned_by_filter.values()
+    ) == _candidate_space(n)
+
+
 def test_contract_counts_fresh_runs():
     _, r1 = search(SearchConfig(n=1))
     _, r2 = search(SearchConfig(n=2))
@@ -190,6 +207,117 @@ def test_single_filter_runs_attribute_pruning_to_that_filter():
         pruned = report.candidates_pruned_by_filter
         assert pruned[name] > 0
         assert all(v == 0 for k, v in pruned.items() if k != name)
+
+
+# ---------------------------------------------------------------------------
+# Direct count^4 scan: the reference for the join's result set and for its
+# computed filter counters.  Works from the definitions and shares no code
+# with the search module.
+
+
+def _direct_scan(n, with_flags):
+    """Every symmetric quadruple of order n, visited one by one.
+
+    Returns the Williamson quadruples (as index tuples into
+    symmetric_tuples(n)) and, if with_flags, a histogram of which of the
+    three filter conditions (rowsum, product, mod4) each candidate meets.
+    """
+    seqs = symmetric_tuples(n)
+    m = n // 2
+    pafs = [
+        tuple(sum(s[i] * s[(i + k) % n] for i in range(n)) for k in range(1, m + 1))
+        for s in seqs
+    ]
+    found = set()
+    flags = {}
+    for idx in itertools.product(range(len(seqs)), repeat=4):
+        quad = [seqs[i] for i in idx]
+        if all(sum(pafs[i][k] for i in idx) == 0 for k in range(m)):
+            found.add(idx)
+        if not with_flags:
+            continue
+        rowsum_ok = sum(sum(s) ** 2 for s in quad) == 4 * n
+        p = [quad[0][i] * quad[1][i] * quad[2][i] * quad[3][i] for i in range(n)]
+        if n % 2:
+            product_ok = all(p[i] == -p[0] for i in range(1, (n + 1) // 2))
+            mod4_ok = True
+        else:
+            product_ok = all(p[i] == p[i + m] for i in range(m))
+            mod4_ok = all(sum(s[i] + s[i + m] for s in quad) % 4 == 0 for i in range(m))
+        key = (rowsum_ok, product_ok, mod4_ok)
+        flags[key] = flags.get(key, 0) + 1
+    return found, flags
+
+
+def _scan_counters(n, flags, rowsum, product, mod4):
+    """Counters of a scan that prunes each candidate at the first enabled
+    filter it fails, in the order rowsum, product, mod4 (even n only)."""
+    enabled = (rowsum, product, mod4 and n % 2 == 0)
+    out = {"examined": 0, "rowsum": 0, "product": 0, "mod4": 0}
+    for oks, k in flags.items():
+        failed = [
+            name
+            for name, on, ok in zip(("rowsum", "product", "mod4"), enabled, oks)
+            if on and not ok
+        ]
+        out[failed[0] if failed else "examined"] += k
+    return out
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_counters_match_direct_scan(n):
+    _, flags = _direct_scan(n, with_flags=True)
+    for product, mod4, rowsum in itertools.product((False, True), repeat=3):
+        _, report = search(
+            SearchConfig(
+                n=n,
+                use_product_filter=product,
+                use_mod4_filter=mod4,
+                use_rowsum_prefilter=rowsum,
+            )
+        )
+        got = {"examined": report.candidates_examined, **report.candidates_pruned_by_filter}
+        assert got == _scan_counters(n, flags, rowsum, product, mod4)
+
+
+def test_results_match_direct_scan(found_by_order):
+    for n, (quads, _) in found_by_order.items():
+        found, _ = _direct_scan(n, with_flags=False)
+        seqs = [PmOneSequence(t) for t in symmetric_tuples(n)]
+        expected = sorted(
+            quadruple_to_text(WilliamsonQuadruple(*(seqs[i] for i in idx))) for idx in found
+        )
+        assert [quadruple_to_text(q) for q in quads] == expected
+
+
+# ---------------------------------------------------------------------------
+# Product condition as a signature key
+
+
+@pytest.mark.parametrize("n", range(1, ORDER_CAP + 1))
+def test_product_signature_matches_theorem(n):
+    seqs = [s.entries for s in enumerate_symmetric(n)]
+    sigs, target = _product_signatures(seqs)
+    # even n: no entry differs from its half-period partner; odd n: every
+    # entry 1..(n-1)/2 differs from entry 0
+    assert target == (0 if n % 2 == 0 else (1 << (n - 1) // 2) - 1)
+    for s, sig in zip(seqs, sigs):
+        assert (sig == target) == product_condition(s)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
+def test_even_mod4_prunes_what_product_would(n):
+    for rowsum in (False, True):
+        _, product_only = search(
+            SearchConfig(n=n, use_mod4_filter=False, use_rowsum_prefilter=rowsum)
+        )
+        _, mod4_only = search(
+            SearchConfig(n=n, use_product_filter=False, use_rowsum_prefilter=rowsum)
+        )
+        assert mod4_only.candidates_pruned_by_filter["mod4"] == (
+            product_only.candidates_pruned_by_filter["product"]
+        )
+        assert mod4_only.candidates_examined == product_only.candidates_examined
 
 
 def test_report_counts_consistent(found_by_order):
