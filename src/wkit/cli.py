@@ -116,13 +116,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     cfg = SearchConfig(
         n=args.n,
         use_product_filter=not args.no_product_filter,
-        use_mod4_filter=not args.no_mod4_filter,
         use_rowsum_prefilter=not args.no_rowsum_filter,
         canonical_only=args.canonical,
-        worker_count=args.workers,
     )
     try:
         quads, report = search(cfg, order_cap=_order_cap())
@@ -155,9 +155,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def cmd_hadamard(args: argparse.Namespace) -> int:
     lines = [line for line in _read_lines(args.input) if line.strip()]
-    if not lines:
-        print("wkit hadamard: no input quadruple", file=sys.stderr)
-        return USAGE_ERROR
+    if len(lines) != 1:
+        raise CliError(f"expected one quadruple line, got {len(lines)}")
     try:
         q = parse_quadruple(lines[0])
     except ParseError as exc:
@@ -246,9 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="order to search")
     p.add_argument("--canonical", action="store_true", help="emit canonical representatives only")
     p.add_argument("--no-product-filter", action="store_true")
-    p.add_argument("--no-mod4-filter", action="store_true")
+    # --no-mod4-filter and --workers are accepted so that existing command
+    # lines keep working.
+    p.add_argument(
+        "--no-mod4-filter", action="store_true", help="selects nothing: mod4 is the product filter"
+    )
     p.add_argument("--no-rowsum-filter", action="store_true")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    p.add_argument(
+        "--workers", type=int, default=1, help="selects nothing (at least 1): one process searches"
+    )
     _add_io(p)
     p.set_defaults(func=cmd_search)
 

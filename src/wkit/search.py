@@ -1,31 +1,27 @@
 """Exhaustive enumeration of Williamson quadruples of a given order.
 
-Strategy: a meet-in-the-middle join on PAF sums.  A quadruple (A, B, C, D)
-of symmetric sequences is Williamson iff PAF_A + PAF_B = -(PAF_C + PAF_D)
-at every shift in 1..n//2.  Every ordered pair (C, D) is indexed by the
-negation of its PAF sum, and every pair (A, B) is looked up in that index,
-so the work is count^2 pairs instead of count^4 quadruples, where count is
-the number of symmetric sequences of order n.
+Strategy: a meet-in-the-middle self-join on PAF sums.  A quadruple
+(A, B, C, D) of symmetric sequences is Williamson iff
+PAF_A + PAF_B = -(PAF_C + PAF_D) at every shift in 1..n//2.  One table maps
+each PAF sum over shifts 1..n//2 to the ordered pairs that have it, and the
+pairs under each key combine with the pairs under the negated key, so the
+work is count^2 pairs instead of count^4 quadruples, where count is the
+number of symmetric sequences of order n.
 
-Three optional filters are necessary conditions on a full candidate,
-applied in fixed order, and the report says how much each one would prune
-from the count^4 candidate space:
+Two optional filters are necessary conditions on a full candidate, applied
+in fixed order, and the report says how much each one would prune from the
+count^4 candidate space:
 
   rowsum   - the four row sums must have squares summing to 4n;
-  product  - the parity-appropriate entrywise product condition;
-  mod4     - the four 2-compressions must sum to 0 mod 4 entrywise
-             (even n only).
+  product  - the parity-appropriate entrywise product condition.
 
-Every Williamson quadruple passes all three, so the join finds the same set
+Every Williamson quadruple passes both, so the join finds the same set
 whichever filters are on, and the counters are computed exactly rather
 than by visiting candidates.  Each sequence gets a class (row sum, product
 signature), where the signature is xor-linear: the signature of the
 entrywise product of a quadruple is the xor of its four signatures, and the
-product condition holds iff that xor equals a fixed target.  On even n the
-mod4 condition is the same test (an entry of the compression sum is 2 mod
-4 exactly when an odd number of the four sequences differ at i and i+n/2).
-Histograms of the (A, B) and (C, D) pairs by (row-sum pair, signature xor)
-then give
+product condition holds iff that xor equals a fixed target.  A histogram of
+the ordered pairs by (row-sum pair, signature xor) then gives
 
   R = candidates whose row sums are admissible (`rowsum_prefilter`),
       or the whole space when the row-sum filter is off;
@@ -33,22 +29,24 @@ then give
 
   pruned_rowsum = space - R
   pruned_product = R - P              if product is on
-  pruned_mod4 = R - P                 if product is off, mod4 on, n even
   candidates_examined = the rest.
 
 So examined + pruned equals the number of symmetric quadruples, count^4.
 
-The candidate space is statically partitioned into first-slot index blocks
-processed by independent workers; per-block results are merged, counters
-summed, and the output sorted by text form, so the result is identical for
-any worker count.
+There is no separate mod4 stage.  On even n the 2-compression mod-4
+condition is the same test as the product condition (an entry of the
+compression sum is 2 mod 4 exactly when an odd number of the four
+sequences differ at i and i+n/2), and on odd n it is vacuous, so it could
+never prune anything the product filter leaves.  The report keeps its
+"mod4" counter, always 0, because the results format has a
+`# pruned_mod4` line.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .seqcore import (
@@ -71,10 +69,8 @@ ORDER_CAP = 16
 class SearchConfig:
     n: int
     use_product_filter: bool = True
-    use_mod4_filter: bool = True
     use_rowsum_prefilter: bool = True
     canonical_only: bool = False
-    worker_count: int = 1
 
 
 @dataclass
@@ -84,7 +80,8 @@ class SearchReport:
     Accounting identity: candidates_examined plus the sum of
     candidates_pruned_by_filter equals count^4, the number of quadruples of
     symmetric sequences of order n.  A candidate is pruned by the first
-    enabled filter (rowsum, product, mod4) it fails and examined otherwise.
+    enabled filter (rowsum, product) it fails and examined otherwise.  The
+    "mod4" entry is always 0: see the module docstring.
     """
 
     raw_count: int = 0
@@ -155,92 +152,62 @@ def _product_signatures(seqs: list[tuple[int, ...]]) -> tuple[list[int], int]:
         pairs = [(i, 0) for i in range(1, (n + 1) // 2)]
     sigs = [sum(1 << k for k, (i, j) in enumerate(pairs) if s[i] != s[j]) for s in seqs]
     accepted = [product_condition(s) for s in seqs]
-    (target,) = {sig for sig, ok in zip(sigs, accepted) if ok}
-    assert all((sig == target) == ok for sig, ok in zip(sigs, accepted))
+    targets = {sig for sig, ok in zip(sigs, accepted) if ok}
+    if len(targets) != 1 or any(sig in targets and not ok for sig, ok in zip(sigs, accepted)):
+        raise RuntimeError(f"product signatures disagree with product_condition at order {n}")
+    (target,) = targets
     return sigs, target
 
 
-def _blocks(count: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(count) into at most `workers` contiguous nonempty blocks."""
-    workers = min(workers, count)
-    base, rem = divmod(count, workers)
-    blocks = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + base + (1 if w < rem else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
-
-
-def _class_counts(classes: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for c in classes:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
-
-
-def _pair_histogram(
-    left: dict[tuple[int, int], int], right: dict[tuple[int, int], int]
-) -> dict[tuple[int, int], dict[int, int]]:
-    """Ordered pairs of sequences, the first counted in `left` and the second
-    in `right` by class (row sum, signature), as
-    {(row sum, row sum): {signature xor: number of pairs}}."""
+def _pair_histogram(classes: list[tuple[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
+    """Ordered pairs of sequences with the given classes (row sum,
+    signature), as {(row sum, row sum): {signature xor: number of pairs}}."""
+    counts = Counter(classes)
     out: dict[tuple[int, int], dict[int, int]] = {}
-    for (ra, xa), na in left.items():
-        for (rb, xb), nb in right.items():
+    for (ra, xa), na in counts.items():
+        for (rb, xb), nb in counts.items():
             bucket = out.setdefault((ra, rb), {})
             bucket[xa ^ xb] = bucket.get(xa ^ xb, 0) + na * nb
     return out
 
 
-def _search_block(args: tuple) -> tuple[list[tuple[int, int, int, int]], int, int, int, int]:
-    """Join first-slot indices [lo, hi) against the whole candidate space.
-
-    Rebuilds the per-order tables locally so worker processes share no
-    state.  Returns found index quadruples plus exact accounting.
+def _join(
+    seqs: list[tuple[int, ...]], use_rowsum: bool, use_product: bool
+) -> tuple[list[tuple[int, int, int, int]], int, int, int]:
+    """Every Williamson quadruple over `seqs` (all symmetric sequences of one
+    order), as index quadruples, plus the exact counters: candidates
+    examined, pruned by rowsum and pruned by product.
     """
-    n, lo, hi, use_rowsum, use_product, use_mod4 = args
-    seqs = [s.entries for s in enumerate_symmetric(n)]
+    n = len(seqs[0])
     count = len(seqs)
     pafs = [_paf_vector(s)[1 : n // 2 + 1] for s in seqs]
 
-    cd_index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ic, pc in enumerate(pafs):
-        for id_, pd in enumerate(pafs):
-            key = tuple([-(x + y) for x, y in zip(pc, pd)])
-            cd_index.setdefault(key, []).append((ic, id_))
-    found: list[tuple[int, int, int, int]] = []
-    for ia in range(lo, hi):
-        pa = pafs[ia]
+    pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ia, pa in enumerate(pafs):
         for ib, pb in enumerate(pafs):
             key = tuple([x + y for x, y in zip(pa, pb)])
-            found.extend((ia, ib, ic, id_) for ic, id_ in cd_index.get(key, ()))
+            pairs.setdefault(key, []).append((ia, ib))
+    found: list[tuple[int, int, int, int]] = []
+    for key, ab_pairs in pairs.items():
+        cd_pairs = pairs.get(tuple([-x for x in key]), ())
+        found.extend((ia, ib, ic, id_) for ia, ib in ab_pairs for ic, id_ in cd_pairs)
 
     # With the row-sum filter off every sequence is in row class 0, so one
     # bucket holds every pair and nothing is pruned by row sums.
     sigs, target = _product_signatures(seqs)
     rows = [sum(s) for s in seqs] if use_rowsum else [0] * count
     admissible = rowsum_prefilter(n) if use_rowsum else {(0, 0, 0, 0)}
-    classes = list(zip(rows, sigs))
-    every = _class_counts(classes)
-    ab = _pair_histogram(_class_counts(classes[lo:hi]), every)
-    cd = _pair_histogram(every, every)
+    histogram = _pair_histogram(list(zip(rows, sigs)))
     admitted = kept = 0
     for sa, sb, sc, sd in admissible:
-        ab_sigs, cd_sigs = ab.get((sa, sb), {}), cd.get((sc, sd), {})
+        ab_sigs, cd_sigs = histogram.get((sa, sb), {}), histogram.get((sc, sd), {})
         admitted += sum(ab_sigs.values()) * sum(cd_sigs.values())
         kept += sum(k * cd_sigs.get(x ^ target, 0) for x, k in ab_sigs.items())
 
-    pr_rowsum = (hi - lo) * count**3 - admitted
-    pr_product = pr_mod4 = 0
+    pruned_rowsum = count**4 - admitted
     if use_product:
-        pr_product = admitted - kept
-    elif use_mod4 and n % 2 == 0:
-        pr_mod4 = admitted - kept
-    else:
-        kept = admitted
-    return found, kept, pr_rowsum, pr_product, pr_mod4
+        return found, kept, pruned_rowsum, admitted - kept
+    return found, admitted, pruned_rowsum, 0
 
 
 def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[WilliamsonQuadruple], SearchReport]:
@@ -248,34 +215,20 @@ def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[Willia
 
     Returns the raw ordered quadruples (or canonical representatives if
     cfg.canonical_only), sorted by text form, plus a report.  The result
-    set does not depend on which filters are enabled or on worker_count.
+    set does not depend on which filters are enabled.
     """
     cap = ORDER_CAP if order_cap is None else order_cap
     if not 1 <= cfg.n <= cap:
         raise ValueError(f"order {cfg.n} outside supported range 1..{cap}")
-    if cfg.worker_count < 1:
-        raise ValueError("worker_count must be positive")
 
     start = time.perf_counter()
     seq_objs = list(enumerate_symmetric(cfg.n))
-    jobs = [
-        (cfg.n, lo, hi, cfg.use_rowsum_prefilter, cfg.use_product_filter, cfg.use_mod4_filter)
-        for lo, hi in _blocks(len(seq_objs), cfg.worker_count)
-    ]
-    if len(jobs) == 1:
-        outcomes = [_search_block(jobs[0])]
-    else:
-        with multiprocessing.Pool(processes=len(jobs)) as pool:
-            outcomes = pool.map(_search_block, jobs)
-
-    report = SearchReport()
-    found_idx: list[tuple[int, int, int, int]] = []
-    for block_found, examined, pr_rowsum, pr_product, pr_mod4 in outcomes:
-        found_idx.extend(block_found)
-        report.candidates_examined += examined
-        report.candidates_pruned_by_filter["rowsum"] += pr_rowsum
-        report.candidates_pruned_by_filter["product"] += pr_product
-        report.candidates_pruned_by_filter["mod4"] += pr_mod4
+    found_idx, examined, pruned_rowsum, pruned_product = _join(
+        [s.entries for s in seq_objs], cfg.use_rowsum_prefilter, cfg.use_product_filter
+    )
+    report = SearchReport(candidates_examined=examined)
+    report.candidates_pruned_by_filter["rowsum"] = pruned_rowsum
+    report.candidates_pruned_by_filter["product"] = pruned_product
 
     # Text once per sequence: sorting and canonical forms work on these
     # strings, and the canonical minimum per slot is the lesser of a

@@ -12,8 +12,11 @@ compressed sequences a'_i = a_i + a_{i+m} sum entrywise to 0 mod 4.
 
 The *_check predicates assert the Williamson precondition and raise
 PreconditionError when it fails; `theorem_filter` and `mod4_filter` are
-the unguarded variants meant for pruning unverified search candidates.
-They may only reject candidates that cannot be Williamson.
+the unguarded variants, run on unverified quadruples by `wkit check
+product-filter` and `wkit check mod4-filter`.  They may only reject
+quadruples that cannot be Williamson.  The search does not call them: it
+applies the product condition through xor signatures (see `search`), and
+on even orders the mod4 test is the same test.
 """
 
 from __future__ import annotations

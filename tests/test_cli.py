@@ -130,6 +130,15 @@ def test_search_workers_flag(run_cli):
     assert _split_results(one)[0] == _split_results(four)[0]
 
 
+def test_search_rejects_bad_worker_count(run_cli):
+    for workers in ("0", "-2"):
+        rc, out, err = run_cli(["search", "--n", "2", "--workers", workers])
+        assert rc == USAGE_ERROR
+        assert out == ""
+        assert err.startswith("wkit search:")
+        assert err.count("\n") == 1
+
+
 def test_search_rejects_bad_orders(run_cli):
     rc, _, err = run_cli(["search", "--n", "0"])
     assert rc == USAGE_ERROR
@@ -219,6 +228,13 @@ def test_hadamard_rejects_junk(run_cli):
     assert rc == USAGE_ERROR
     rc, _, err = run_cli(["hadamard"], "")
     assert rc == USAGE_ERROR
+
+
+def test_hadamard_rejects_extra_lines(run_cli):
+    rc, out, err = run_cli(["hadamard"], "+;+;+;+\n\n++;++;+-;+-\n")
+    assert rc == USAGE_ERROR
+    assert out == ""
+    assert err == "wkit hadamard: expected one quadruple line, got 2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exhaustive search, pruning filters, canonicalization, determinism."""
 
+import importlib
 import itertools
 
 import pytest
@@ -184,24 +185,15 @@ def test_examined_plus_pruned_covers_the_space(found_by_order):
 
 
 def test_disabled_filters_prune_nothing():
-    cfg = SearchConfig(
-        n=6,
-        use_product_filter=False,
-        use_mod4_filter=False,
-        use_rowsum_prefilter=False,
-    )
+    cfg = SearchConfig(n=6, use_product_filter=False, use_rowsum_prefilter=False)
     _, report = search(cfg)
     assert report.candidates_pruned_by_filter == {"rowsum": 0, "product": 0, "mod4": 0}
     assert report.candidates_examined == _candidate_space(6)
 
 
 def test_single_filter_runs_attribute_pruning_to_that_filter():
-    base = dict(use_product_filter=False, use_mod4_filter=False, use_rowsum_prefilter=False)
-    for name, flag in (
-        ("rowsum", "use_rowsum_prefilter"),
-        ("product", "use_product_filter"),
-        ("mod4", "use_mod4_filter"),
-    ):
+    base = dict(use_product_filter=False, use_rowsum_prefilter=False)
+    for name, flag in (("rowsum", "use_rowsum_prefilter"), ("product", "use_product_filter")):
         cfg = SearchConfig(n=6, **{**base, flag: True})
         _, report = search(cfg)
         pruned = report.candidates_pruned_by_filter
@@ -220,7 +212,7 @@ def _direct_scan(n, with_flags):
 
     Returns the Williamson quadruples (as index tuples into
     symmetric_tuples(n)) and, if with_flags, a histogram of which of the
-    three filter conditions (rowsum, product, mod4) each candidate meets.
+    two filter conditions (rowsum, product) each candidate meets.
     """
     seqs = symmetric_tuples(n)
     m = n // 2
@@ -240,26 +232,21 @@ def _direct_scan(n, with_flags):
         p = [quad[0][i] * quad[1][i] * quad[2][i] * quad[3][i] for i in range(n)]
         if n % 2:
             product_ok = all(p[i] == -p[0] for i in range(1, (n + 1) // 2))
-            mod4_ok = True
         else:
             product_ok = all(p[i] == p[i + m] for i in range(m))
-            mod4_ok = all(sum(s[i] + s[i + m] for s in quad) % 4 == 0 for i in range(m))
-        key = (rowsum_ok, product_ok, mod4_ok)
+        key = (rowsum_ok, product_ok)
         flags[key] = flags.get(key, 0) + 1
     return found, flags
 
 
-def _scan_counters(n, flags, rowsum, product, mod4):
+def _scan_counters(flags, rowsum, product):
     """Counters of a scan that prunes each candidate at the first enabled
-    filter it fails, in the order rowsum, product, mod4 (even n only)."""
-    enabled = (rowsum, product, mod4 and n % 2 == 0)
+    filter it fails, in the order rowsum, product.  The search has no mod4
+    stage, so its counter stays 0."""
     out = {"examined": 0, "rowsum": 0, "product": 0, "mod4": 0}
     for oks, k in flags.items():
-        failed = [
-            name
-            for name, on, ok in zip(("rowsum", "product", "mod4"), enabled, oks)
-            if on and not ok
-        ]
+        enabled = (rowsum, product)
+        failed = [name for name, on, ok in zip(("rowsum", "product"), enabled, oks) if on and not ok]
         out[failed[0] if failed else "examined"] += k
     return out
 
@@ -267,17 +254,12 @@ def _scan_counters(n, flags, rowsum, product, mod4):
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_counters_match_direct_scan(n):
     _, flags = _direct_scan(n, with_flags=True)
-    for product, mod4, rowsum in itertools.product((False, True), repeat=3):
+    for product, rowsum in itertools.product((False, True), repeat=2):
         _, report = search(
-            SearchConfig(
-                n=n,
-                use_product_filter=product,
-                use_mod4_filter=mod4,
-                use_rowsum_prefilter=rowsum,
-            )
+            SearchConfig(n=n, use_product_filter=product, use_rowsum_prefilter=rowsum)
         )
         got = {"examined": report.candidates_examined, **report.candidates_pruned_by_filter}
-        assert got == _scan_counters(n, flags, rowsum, product, mod4)
+        assert got == _scan_counters(flags, rowsum, product)
 
 
 def test_results_match_direct_scan(found_by_order):
@@ -305,19 +287,28 @@ def test_product_signature_matches_theorem(n):
         assert (sig == target) == product_condition(s)
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
+def test_product_signatures_refuse_a_disagreeing_condition(monkeypatch):
+    module = importlib.import_module("wkit.search")  # the package rebinds wkit.search
+    monkeypatch.setattr(module, "product_condition", lambda products: products[0] == 1)
+    seqs = [s.entries for s in enumerate_symmetric(4)]
+    with pytest.raises(RuntimeError, match="disagree"):
+        _product_signatures(seqs)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_even_mod4_prunes_what_product_would(n):
+    # There is no mod4 stage: on even n the mod4 test is the product test
+    # (test_theorems covers the equivalence), so with product off its
+    # counter stays 0 and what product would prune is examined instead.
     for rowsum in (False, True):
-        _, product_only = search(
-            SearchConfig(n=n, use_mod4_filter=False, use_rowsum_prefilter=rowsum)
-        )
-        _, mod4_only = search(
+        _, product_on = search(SearchConfig(n=n, use_rowsum_prefilter=rowsum))
+        _, product_off = search(
             SearchConfig(n=n, use_product_filter=False, use_rowsum_prefilter=rowsum)
         )
-        assert mod4_only.candidates_pruned_by_filter["mod4"] == (
-            product_only.candidates_pruned_by_filter["product"]
+        assert product_off.candidates_pruned_by_filter["mod4"] == 0
+        assert product_off.candidates_examined == (
+            product_on.candidates_examined + product_on.candidates_pruned_by_filter["product"]
         )
-        assert mod4_only.candidates_examined == product_only.candidates_examined
 
 
 def test_report_counts_consistent(found_by_order):
@@ -337,32 +328,14 @@ def _result_lines(quads):
 @pytest.mark.parametrize("n", (4, 6))
 def test_filter_combinations_agree(n):
     reference = None
-    for product, mod4, rowsum in itertools.product((False, True), repeat=3):
-        cfg = SearchConfig(
-            n=n,
-            use_product_filter=product,
-            use_mod4_filter=mod4,
-            use_rowsum_prefilter=rowsum,
+    for product, rowsum in itertools.product((False, True), repeat=2):
+        quads, _ = search(
+            SearchConfig(n=n, use_product_filter=product, use_rowsum_prefilter=rowsum)
         )
-        quads, _ = search(cfg)
         lines = _result_lines(quads)
         if reference is None:
             reference = lines
         assert lines == reference
-
-
-def test_worker_counts_agree():
-    for n in (5, 8):
-        outputs = []
-        for workers in (1, 4):
-            quads, report = search(SearchConfig(n=n, worker_count=workers))
-            text = format_results(quads, report)
-            # elapsed is wall-clock; everything else must match exactly
-            stable = [
-                line for line in text.splitlines() if not line.startswith("# elapsed_seconds")
-            ]
-            outputs.append(stable)
-        assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +403,6 @@ def test_search_rejects_bad_orders():
         search(SearchConfig(n=ORDER_CAP + 1))
     with pytest.raises(ValueError):
         search(SearchConfig(n=3), order_cap=2)
-
-
-def test_search_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        search(SearchConfig(n=2, worker_count=0))
 
 
 # ---------------------------------------------------------------------------
