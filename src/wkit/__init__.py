@@ -19,7 +19,6 @@ from .search import (
     enumerate_symmetric,
     format_results,
     rowsum_prefilter,
-    search,
 )
 from .seqcore import (
     MAX_ORDER,

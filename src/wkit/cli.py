@@ -140,13 +140,11 @@ def cmd_compress(args: argparse.Namespace) -> int:
         if not raw.strip():
             continue
         try:
-            s = parse_sequence(raw)
+            out_lines.append(str(compress2(parse_sequence(raw))))
         except ParseError as exc:
             print(f"line {lineno}, {exc}", file=sys.stderr)
             return USAGE_ERROR
-        try:
-            out_lines.append(str(compress2(s)))
-        except PreconditionError as exc:
+        except ValueError as exc:  # an over-long line or a PreconditionError
             print(f"line {lineno}: {exc}", file=sys.stderr)
             status = VERIFY_FAILED
     _write_text(args.output, "".join(line + "\n" for line in out_lines))

@@ -11,6 +11,11 @@ with each block the circulant of the corresponding sequence.  Sign
 conventions for this array vary across sources, so rather than trusting
 any one of them, every construction in this package is verified by
 `is_hadamard` (H * H^T = order * I, computed exactly).
+
+A matrix is a `SquareMatrix`: one read-only order x order int64 array.
+The blocks, the assembled array, the Hadamard check and the text form all
+work on that array directly.  Every entry of H * H^T is bounded by the
+order in magnitude, so int64 arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -18,11 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from .seqcore import (
-    PmOneSequence,
     PreconditionError,
     SquareMatrix,
     WilliamsonQuadruple,
-    _as_array,
     circulant,
     is_williamson,
 )
@@ -32,7 +35,7 @@ def williamson_array(q: WilliamsonQuadruple) -> SquareMatrix:
     """Assemble the 4n x 4n block matrix from a verified Williamson quadruple."""
     if not is_williamson(q):
         raise PreconditionError("williamson_array requires a Williamson quadruple")
-    a, b, c, d = (_as_array(circulant(s)) for s in q.sequences())
+    a, b, c, d = (circulant(s).array for s in q.sequences())
     block = np.block(
         [
             [a, b, c, d],
@@ -41,22 +44,23 @@ def williamson_array(q: WilliamsonQuadruple) -> SquareMatrix:
             [-d, -c, b, a],
         ]
     )
-    return SquareMatrix(4 * q.n, tuple(int(v) for v in block.ravel()))
+    return SquareMatrix(block)
+
+
+def _require_pm_one(m: SquareMatrix, what: str) -> None:
+    if not (np.abs(m.array) == 1).all():
+        raise ValueError(f"{what} requires ±1 entries")
 
 
 def is_hadamard(m: SquareMatrix) -> bool:
     """True iff M * M^T equals order * I.  Entries must all be ±1."""
-    if any(v not in (1, -1) for v in m.entries):
-        raise ValueError("is_hadamard requires ±1 entries")
-    h = np.asarray(m.entries, dtype=np.int64).reshape(m.order, m.order)
+    _require_pm_one(m, "is_hadamard")
+    h = m.array
     return np.array_equal(h @ h.T, m.order * np.eye(m.order, dtype=np.int64))
 
 
 def matrix_to_text(m: SquareMatrix) -> str:
     """Matrix text form: "order N" then one '+'/'-' row per line."""
-    if any(v not in (1, -1) for v in m.entries):
-        raise ValueError("matrix text form requires ±1 entries")
-    lines = [f"order {m.order}"]
-    for i in range(m.order):
-        lines.append("".join("+" if v == 1 else "-" for v in m.row(i)))
-    return "\n".join(lines)
+    _require_pm_one(m, "matrix text form")
+    signs = np.where(m.array == 1, ord("+"), ord("-")).astype(np.uint8)
+    return "\n".join([f"order {m.order}", *(row.tobytes().decode() for row in signs)])

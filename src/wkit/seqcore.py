@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 # Upper bound on sequence length.  4n and all PAF sums stay tiny at this
-# size, so plain machine integers are exact everywhere.  Configurable.
+# size, so plain machine integers are exact everywhere.
 MAX_ORDER = 64
 
 
@@ -98,25 +98,25 @@ class WilliamsonQuadruple:
         return quadruple_to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquareMatrix:
-    """Dense integer matrix, row-major entries."""
+    """Dense integer matrix, held as a read-only order x order int64 array."""
 
-    order: int
-    entries: tuple[int, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        if len(self.entries) != self.order * self.order:
-            raise ValueError("entry count must equal order squared")
+        a = np.array(self.array)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"matrix must be a non-empty square 2-D array, got shape {a.shape}")
+        if a.dtype.kind != "i":
+            raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
+        a = a.astype(np.int64, copy=False)
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.order + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.order : (i + 1) * self.order]
+    @property
+    def order(self) -> int:
+        return self.array.shape[0]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -172,31 +172,20 @@ def is_williamson(q: WilliamsonQuadruple) -> bool:
 
 def circulant(s: PmOneSequence) -> SquareMatrix:
     """The circulant matrix with first row s: M[i][j] = s[(j-i) mod n]."""
-    e = s.entries
-    n = len(e)
-    flat: list[int] = []
-    for i in range(n):
-        flat.extend(e[n - i :] + e[: n - i] if i else e)
-    return SquareMatrix(n, tuple(flat))
+    n = s.n
+    i = np.arange(n)
+    return SquareMatrix(np.array(s.entries, dtype=np.int64)[(i - i[:, None]) % n])
 
 
-def _as_array(m: SquareMatrix) -> np.ndarray:
-    return np.asarray(m.entries, dtype=np.int64).reshape(m.order, m.order)
-
-
-@lru_cache(maxsize=1 << 14)
+# 1,024 squares are at most 32 MB at n = 64.  A search output up to n = 18
+# has at most 2^10 distinct sequences, so piping it into `wkit check
+# matrix-williamson` squares each one once.
+@lru_cache(maxsize=1 << 10)
 def _circulant_square(entries: tuple[int, ...]) -> np.ndarray:
-    c = _as_array(circulant(PmOneSequence(entries)))
+    c = circulant(PmOneSequence(entries)).array
     sq = c @ c
     sq.setflags(write=False)
     return sq
-
-
-@lru_cache(maxsize=128)
-def _williamson_target(n: int) -> np.ndarray:
-    t = 4 * n * np.eye(n, dtype=np.int64)
-    t.setflags(write=False)
-    return t
 
 
 def matrix_williamson_check(q: WilliamsonQuadruple) -> bool:
@@ -212,7 +201,7 @@ def matrix_williamson_check(q: WilliamsonQuadruple) -> bool:
         + _circulant_square(q.c.entries)
         + _circulant_square(q.d.entries)
     )
-    return np.array_equal(acc, _williamson_target(q.n))
+    return np.array_equal(acc, 4 * q.n * np.eye(q.n, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, text formats, exit codes."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wkit
 from wkit.cli import OK, USAGE_ERROR, VERIFY_FAILED, main
 from wkit.search import ORDER_CAP
 from wkit.seqcore import MAX_ORDER
@@ -191,6 +194,15 @@ def test_compress_odd_length_line(run_cli):
     assert "line 2:" in err
 
 
+def test_compress_over_long_line(run_cli):
+    # Reported like an odd-length line, not as a traceback.
+    long_line = "+" * (MAX_ORDER + 2)
+    rc, out, err = run_cli(["compress"], f"++\n{long_line}\n+-+-\n")
+    assert rc == VERIFY_FAILED
+    assert out == "2\n2 -2\n"
+    assert err == f"line 2: sequence length {MAX_ORDER + 2} exceeds cap {MAX_ORDER}\n"
+
+
 def test_compress_parse_error(run_cli):
     rc, _, err = run_cli(["compress"], "+x\n")
     assert rc == USAGE_ERROR
@@ -340,12 +352,18 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_exit_codes_end_to_end():
+    # The child imports the same wkit as this process, installed or not.
+    src = str(Path(wkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def run(stdin_text):
         return subprocess.run(
             [sys.executable, "-m", "wkit.cli", "verify"],
             input=stdin_text,
             capture_output=True,
             text=True,
+            env=env,
         ).returncode
 
     assert run("+;+;+;+\n") == OK

@@ -1,5 +1,6 @@
 """Williamson array construction and the Hadamard check."""
 
+import numpy as np
 import pytest
 
 from wkit.hadamard import is_hadamard, matrix_to_text, williamson_array
@@ -22,24 +23,26 @@ N3_QUAD = quad((1, 1, 1), (1, -1, -1), (1, -1, -1), (1, -1, -1))
 def test_array_order_one_explicit():
     m = williamson_array(N1_QUAD)
     assert m.order == 4
-    assert m.row(0) == (1, 1, 1, 1)
-    assert m.row(1) == (-1, 1, -1, 1)
-    assert m.row(2) == (-1, 1, 1, -1)
-    assert m.row(3) == (-1, -1, 1, 1)
+    assert m.array.tolist() == [
+        [1, 1, 1, 1],
+        [-1, 1, -1, 1],
+        [-1, 1, 1, -1],
+        [-1, -1, 1, 1],
+    ]
     assert is_hadamard(m)
 
 
 def test_array_order_two():
     m = williamson_array(N2_QUAD)
     assert m.order == 8
-    assert all(v in (1, -1) for v in m.entries)
+    assert np.isin(m.array, (1, -1)).all()
     assert is_hadamard(m)
 
 
 def test_array_order_three():
     m = williamson_array(N3_QUAD)
     assert m.order == 12
-    assert all(v in (1, -1) for v in m.entries)
+    assert np.isin(m.array, (1, -1)).all()
     assert is_hadamard(m)
 
 
@@ -50,7 +53,7 @@ def test_array_blocks_are_circulants_of_the_inputs():
     for j, s in enumerate(N3_QUAD.sequences()):
         for r in range(n):
             for c in range(n):
-                assert m.at(r, j * n + c) == s.entries[(c - r) % n]
+                assert m.array[r, j * n + c] == s.entries[(c - r) % n]
 
 
 def test_array_requires_williamson():
@@ -59,21 +62,21 @@ def test_array_requires_williamson():
 
 
 def test_is_hadamard_small_cases():
-    assert is_hadamard(SquareMatrix(1, (1,)))
-    assert is_hadamard(SquareMatrix(2, (1, 1, 1, -1)))
-    assert not is_hadamard(SquareMatrix(2, (1, 1, 1, 1)))
+    assert is_hadamard(SquareMatrix(np.array([[1]])))
+    assert is_hadamard(SquareMatrix(np.array([[1, 1], [1, -1]])))
+    assert not is_hadamard(SquareMatrix(np.array([[1, 1], [1, 1]])))
 
 
 def test_is_hadamard_rejects_non_pm_entries():
     with pytest.raises(ValueError):
-        is_hadamard(SquareMatrix(2, (1, 0, 0, 1)))
+        is_hadamard(SquareMatrix(np.array([[1, 0], [0, 1]])))
 
 
 def test_matrix_to_text_format():
     text = matrix_to_text(williamson_array(N1_QUAD))
     assert text.splitlines() == ["order 4", "++++", "-+-+", "-++-", "--++"]
     with pytest.raises(ValueError):
-        matrix_to_text(SquareMatrix(1, (3,)))
+        matrix_to_text(SquareMatrix(np.array([[3]])))
 
 
 def test_constructions_from_search_are_hadamard(found_by_order):
@@ -82,5 +85,5 @@ def test_constructions_from_search_are_hadamard(found_by_order):
         for q in quads:
             m = williamson_array(q)
             assert m.order == 4 * n
-            assert all(v in (1, -1) for v in m.entries)
+            assert np.isin(m.array, (1, -1)).all()
             assert is_hadamard(m)

@@ -1,10 +1,11 @@
 """Exhaustive search, pruning filters, canonicalization, determinism."""
 
-import importlib
 import itertools
+import types
 
 import pytest
 
+import wkit.search
 from conftest import make_rng, random_quadruple, symmetric_by_definition, symmetric_tuples
 from wkit.search import (
     ORDER_CAP,
@@ -287,9 +288,15 @@ def test_product_signature_matches_theorem(n):
         assert (sig == target) == product_condition(s)
 
 
+def test_package_attribute_search_is_the_module():
+    # The package must not rebind wkit.search to the search() function.
+    assert isinstance(wkit.search, types.ModuleType)
+    assert wkit.search.search is search
+    assert wkit.search.product_condition is product_condition
+
+
 def test_product_signatures_refuse_a_disagreeing_condition(monkeypatch):
-    module = importlib.import_module("wkit.search")  # the package rebinds wkit.search
-    monkeypatch.setattr(module, "product_condition", lambda products: products[0] == 1)
+    monkeypatch.setattr(wkit.search, "product_condition", lambda products: products[0] == 1)
     seqs = [s.entries for s in enumerate_symmetric(4)]
     with pytest.raises(RuntimeError, match="disagree"):
         _product_signatures(seqs)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -85,13 +86,22 @@ def test_quadruple_basics():
 
 def test_square_matrix_validation():
     with pytest.raises(ValueError):
-        SquareMatrix(0, ())
+        SquareMatrix(np.zeros((0, 0), dtype=np.int64))
     with pytest.raises(ValueError):
-        SquareMatrix(2, (1, 1, 1))
-    m = SquareMatrix(2, (1, 2, 3, 4))
-    assert m.at(0, 1) == 2
-    assert m.at(1, 0) == 3
-    assert m.row(1) == (3, 4)
+        SquareMatrix(np.array([[1, 1, 1], [1, 1, 1]]))
+    with pytest.raises(ValueError):
+        SquareMatrix(np.array([1, 2, 3, 4]))
+    with pytest.raises(ValueError):
+        SquareMatrix(np.array([[1.5]]))
+    m = SquareMatrix(np.array([[1, 2], [3, 4]]))
+    assert m.order == 2
+    assert m.array.dtype == np.int64
+    assert m.array[0, 1] == 2
+    assert m.array[1, 0] == 3
+    assert m.array[1].tolist() == [3, 4]
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 7
+    assert m.array[0, 0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +237,12 @@ def test_row_sum_consistency_on_found(found_by_order):
 
 
 def test_circulant_examples():
-    assert circulant(seq(1)).entries == (1,)
-    assert circulant(seq(1, -1)).entries == (1, -1, -1, 1)
+    assert circulant(seq(1)).array.tolist() == [[1]]
+    assert circulant(seq(1, -1)).array.tolist() == [[1, -1], [-1, 1]]
     m = circulant(seq(1, -1, -1))
-    assert m.row(0) == (1, -1, -1)
-    assert m.row(1) == (-1, 1, -1)
-    assert m.row(2) == (-1, -1, 1)
+    assert m.array[0].tolist() == [1, -1, -1]
+    assert m.array[1].tolist() == [-1, 1, -1]
+    assert m.array[2].tolist() == [-1, -1, 1]
 
 
 def test_circulant_matches_definition():
@@ -244,7 +254,7 @@ def test_circulant_matches_definition():
         assert m.order == n
         for i in range(n):
             for j in range(n):
-                assert m.at(i, j) == s.entries[(j - i) % n]
+                assert m.array[i, j] == s.entries[(j - i) % n]
 
 
 def test_circulant_of_symmetric_is_symmetric_matrix():
@@ -252,7 +262,7 @@ def test_circulant_of_symmetric_is_symmetric_matrix():
         for t in symmetric_tuples(n):
             m = circulant(PmOneSequence(t))
             assert all(
-                m.at(i, j) == m.at(j, i) for i in range(n) for j in range(n)
+                m.array[i, j] == m.array[j, i] for i in range(n) for j in range(n)
             )
 
 
