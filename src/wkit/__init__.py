@@ -18,7 +18,6 @@ from .search import (
     canonicalize,
     enumerate_symmetric,
     format_results,
-    rowsum_prefilter,
 )
 from .seqcore import (
     MAX_ORDER,

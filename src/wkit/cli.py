@@ -45,9 +45,10 @@ class CliError(Exception):
 def _read_lines(path: str | None) -> list[str]:
     try:
         data = sys.stdin.read() if path is None else Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         source = "stdin" if path is None else path
-        raise CliError(f"cannot read {source}: {exc.strerror or exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise CliError(f"cannot read {source}: {reason}") from exc
     return data.splitlines()
 
 
@@ -118,14 +119,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    cfg = SearchConfig(
-        n=args.n,
-        use_product_filter=not args.no_product_filter,
-        use_rowsum_prefilter=not args.no_rowsum_filter,
-        canonical_only=args.canonical,
-    )
     try:
-        quads, report = search(cfg, order_cap=_order_cap())
+        quads, report = search(SearchConfig(args.n, args.canonical), order_cap=_order_cap())
     except ValueError as exc:
         print(f"wkit search: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -152,13 +147,14 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def cmd_hadamard(args: argparse.Namespace) -> int:
-    lines = [line for line in _read_lines(args.input) if line.strip()]
+    lines = [(k, line) for k, line in enumerate(_read_lines(args.input), 1) if line.strip()]
     if len(lines) != 1:
         raise CliError(f"expected one quadruple line, got {len(lines)}")
+    ((lineno, line),) = lines
     try:
-        q = parse_quadruple(lines[0])
+        q = parse_quadruple(line)
     except ParseError as exc:
-        print(f"line 1, {exc}", file=sys.stderr)
+        print(f"line {lineno}, {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
         print(f"wkit hadamard: refusing input: {exc}", file=sys.stderr)
@@ -242,13 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustively enumerate quadruples of order n")
     p.add_argument("--n", type=int, required=True, help="order to search")
     p.add_argument("--canonical", action="store_true", help="emit canonical representatives only")
-    p.add_argument("--no-product-filter", action="store_true")
-    # --no-mod4-filter and --workers are accepted so that existing command
-    # lines keep working.
-    p.add_argument(
-        "--no-mod4-filter", action="store_true", help="selects nothing: mod4 is the product filter"
-    )
-    p.add_argument("--no-rowsum-filter", action="store_true")
+    # --workers is accepted so that existing command lines keep working.
     p.add_argument(
         "--workers", type=int, default=1, help="selects nothing (at least 1): one process searches"
     )

@@ -8,38 +8,38 @@ pairs under each key combine with the pairs under the negated key, so the
 work is count^2 pairs instead of count^4 quadruples, where count is the
 number of symmetric sequences of order n.
 
-Two optional filters are necessary conditions on a full candidate, applied
-in fixed order, and the report says how much each one would prune from the
-count^4 candidate space:
+Two necessary conditions on a full candidate, the row-sum test and then
+the product test, are not applied during the join: every Williamson
+quadruple passes both, so they could never change the result set.  The
+report instead gives exactly how much each would prune from the count^4
+candidate space, in that order:
 
   rowsum   - the four row sums must have squares summing to 4n;
   product  - the parity-appropriate entrywise product condition.
 
-Every Williamson quadruple passes both, so the join finds the same set
-whichever filters are on, and the counters are computed exactly rather
-than by visiting candidates.  Each sequence gets a class (row sum, product
-signature), where the signature is xor-linear: the signature of the
-entrywise product of a quadruple is the xor of its four signatures, and the
-product condition holds iff that xor equals a fixed target.  A histogram of
-the ordered pairs by (row-sum pair, signature xor) then gives
+The row sum s of any symmetric sequence of order n already has |s| <= n
+and s = n (mod 2), so the squares-sum equation is the whole row-sum
+condition.  The product signature of a sequence is xor-linear: the
+signature of the entrywise product of a quadruple is the xor of its four
+signatures, and the product condition holds iff that xor equals a fixed
+target.  With H(q, x) the number of ordered pairs (A, B) with
+s_A^2 + s_B^2 = q and sig_A ^ sig_B = x, and H(q) the sum of H(q, x) over x,
 
-  R = candidates whose row sums are admissible (`rowsum_prefilter`),
-      or the whole space when the row-sum filter is off;
-  P = those of R whose four signatures xor to the target;
+  R = sum over q of H(q) * H(4n - q)              (row sums admissible)
+  P = sum over q, x of H(q, x) * H(4n - q, x ^ target)   (both hold)
 
-  pruned_rowsum = space - R
-  pruned_product = R - P              if product is on
-  candidates_examined = the rest.
+  pruned_rowsum = count^4 - R
+  pruned_product = R - P
+  candidates_examined = P
 
 So examined + pruned equals the number of symmetric quadruples, count^4.
 
-There is no separate mod4 stage.  On even n the 2-compression mod-4
-condition is the same test as the product condition (an entry of the
-compression sum is 2 mod 4 exactly when an odd number of the four
-sequences differ at i and i+n/2), and on odd n it is vacuous, so it could
-never prune anything the product filter leaves.  The report keeps its
-"mod4" counter, always 0, because the results format has a
-`# pruned_mod4` line.
+There is no mod4 stage.  On even n the 2-compression mod-4 condition is
+the same test as the product condition (an entry of the compression sum
+is 2 mod 4 exactly when an odd number of the four sequences differ at i
+and i+n/2), and on odd n it is vacuous, so it could never prune anything
+the product test leaves.  The results format keeps a fixed
+`# pruned_mod4 0` line, which `perfbench/run.py` parses.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ ORDER_CAP = 16
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
-    use_product_filter: bool = True
-    use_rowsum_prefilter: bool = True
     canonical_only: bool = False
 
 
@@ -80,15 +78,15 @@ class SearchReport:
     Accounting identity: candidates_examined plus the sum of
     candidates_pruned_by_filter equals count^4, the number of quadruples of
     symmetric sequences of order n.  A candidate is pruned by the first
-    enabled filter (rowsum, product) it fails and examined otherwise.  The
-    "mod4" entry is always 0: see the module docstring.
+    test it fails, rowsum then product, and examined otherwise; the module
+    docstring gives the squares-sum formula that counts them.
     """
 
     raw_count: int = 0
     canonical_count: int = 0
     candidates_examined: int = 0
     candidates_pruned_by_filter: dict[str, int] = field(
-        default_factory=lambda: {"rowsum": 0, "product": 0, "mod4": 0}
+        default_factory=lambda: {"rowsum": 0, "product": 0}
     )
     elapsed: float = 0.0
 
@@ -108,31 +106,6 @@ def enumerate_symmetric(n: int):
         for i in range(free, n):
             entries[i] = entries[n - i]
         yield PmOneSequence(tuple(entries))
-
-
-def rowsum_prefilter(n: int) -> set[tuple[int, int, int, int]]:
-    """All row-sum quadruples (s_A, s_B, s_C, s_D) a Williamson quadruple
-    of order n could have: each |s| <= n with s = n (mod 2), squares
-    summing to 4n.
-    """
-    vals = [s for s in range(-n, n + 1) if (s - n) % 2 == 0]
-    roots: dict[int, list[int]] = {}
-    for s in vals:
-        roots.setdefault(s * s, []).append(s)
-    target = 4 * n
-    out: set[tuple[int, int, int, int]] = set()
-    for sa in vals:
-        for sb in vals:
-            ab = sa * sa + sb * sb
-            if ab > target:
-                continue
-            for sc in vals:
-                rem = target - ab - sc * sc
-                if rem < 0:
-                    continue
-                for sd in roots.get(rem, ()):
-                    out.add((sa, sb, sc, sd))
-    return out
 
 
 def _product_signatures(seqs: list[tuple[int, ...]]) -> tuple[list[int], int]:
@@ -159,27 +132,12 @@ def _product_signatures(seqs: list[tuple[int, ...]]) -> tuple[list[int], int]:
     return sigs, target
 
 
-def _pair_histogram(classes: list[tuple[int, int]]) -> dict[tuple[int, int], dict[int, int]]:
-    """Ordered pairs of sequences with the given classes (row sum,
-    signature), as {(row sum, row sum): {signature xor: number of pairs}}."""
-    counts = Counter(classes)
-    out: dict[tuple[int, int], dict[int, int]] = {}
-    for (ra, xa), na in counts.items():
-        for (rb, xb), nb in counts.items():
-            bucket = out.setdefault((ra, rb), {})
-            bucket[xa ^ xb] = bucket.get(xa ^ xb, 0) + na * nb
-    return out
-
-
-def _join(
-    seqs: list[tuple[int, ...]], use_rowsum: bool, use_product: bool
-) -> tuple[list[tuple[int, int, int, int]], int, int, int]:
+def _join(seqs: list[tuple[int, ...]]) -> tuple[list[tuple[int, int, int, int]], int, int, int]:
     """Every Williamson quadruple over `seqs` (all symmetric sequences of one
     order), as index quadruples, plus the exact counters: candidates
     examined, pruned by rowsum and pruned by product.
     """
     n = len(seqs[0])
-    count = len(seqs)
     pafs = [_paf_vector(s)[1 : n // 2 + 1] for s in seqs]
 
     pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -192,30 +150,26 @@ def _join(
         cd_pairs = pairs.get(tuple([-x for x in key]), ())
         found.extend((ia, ib, ic, id_) for ia, ib in ab_pairs for ic, id_ in cd_pairs)
 
-    # With the row-sum filter off every sequence is in row class 0, so one
-    # bucket holds every pair and nothing is pruned by row sums.
+    # H(q, x) and H(q) of the module docstring, over ordered pairs.
     sigs, target = _product_signatures(seqs)
-    rows = [sum(s) for s in seqs] if use_rowsum else [0] * count
-    admissible = rowsum_prefilter(n) if use_rowsum else {(0, 0, 0, 0)}
-    histogram = _pair_histogram(list(zip(rows, sigs)))
-    admitted = kept = 0
-    for sa, sb, sc, sd in admissible:
-        ab_sigs, cd_sigs = histogram.get((sa, sb), {}), histogram.get((sc, sd), {})
-        admitted += sum(ab_sigs.values()) * sum(cd_sigs.values())
-        kept += sum(k * cd_sigs.get(x ^ target, 0) for x, k in ab_sigs.items())
-
-    pruned_rowsum = count**4 - admitted
-    if use_product:
-        return found, kept, pruned_rowsum, admitted - kept
-    return found, admitted, pruned_rowsum, 0
+    classes = Counter(zip([sum(s) ** 2 for s in seqs], sigs))
+    h_qx: Counter[tuple[int, int]] = Counter()
+    for (qa, xa), na in classes.items():
+        for (qb, xb), nb in classes.items():
+            h_qx[qa + qb, xa ^ xb] += na * nb
+    h_q: Counter[int] = Counter()
+    for (q, _), k in h_qx.items():
+        h_q[q] += k
+    admitted = sum(k * h_q[4 * n - q] for q, k in h_q.items())
+    kept = sum(k * h_qx[4 * n - q, x ^ target] for (q, x), k in h_qx.items())
+    return found, kept, len(seqs) ** 4 - admitted, admitted - kept
 
 
 def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[WilliamsonQuadruple], SearchReport]:
     """Find every Williamson quadruple of order cfg.n.
 
     Returns the raw ordered quadruples (or canonical representatives if
-    cfg.canonical_only), sorted by text form, plus a report.  The result
-    set does not depend on which filters are enabled.
+    cfg.canonical_only), sorted by text form, plus a report.
     """
     cap = ORDER_CAP if order_cap is None else order_cap
     if not 1 <= cfg.n <= cap:
@@ -223,12 +177,11 @@ def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[Willia
 
     start = time.perf_counter()
     seq_objs = list(enumerate_symmetric(cfg.n))
-    found_idx, examined, pruned_rowsum, pruned_product = _join(
-        [s.entries for s in seq_objs], cfg.use_rowsum_prefilter, cfg.use_product_filter
+    found_idx, examined, pruned_rowsum, pruned_product = _join([s.entries for s in seq_objs])
+    report = SearchReport(
+        candidates_examined=examined,
+        candidates_pruned_by_filter={"rowsum": pruned_rowsum, "product": pruned_product},
     )
-    report = SearchReport(candidates_examined=examined)
-    report.candidates_pruned_by_filter["rowsum"] = pruned_rowsum
-    report.candidates_pruned_by_filter["product"] = pruned_product
 
     # Text once per sequence: sorting and canonical forms work on these
     # strings, and the canonical minimum per slot is the lesser of a
@@ -276,7 +229,7 @@ def format_results(quads: list[WilliamsonQuadruple], report: SearchReport) -> st
         f"# candidates_examined {report.candidates_examined}",
         f"# pruned_rowsum {pruned['rowsum']}",
         f"# pruned_product {pruned['product']}",
-        f"# pruned_mod4 {pruned['mod4']}",
+        "# pruned_mod4 0",  # no mod4 stage; perfbench/run.py reads this line
         f"# elapsed_seconds {report.elapsed:.6f}",
     ]
     return "\n".join(lines) + "\n"

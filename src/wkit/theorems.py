@@ -15,7 +15,7 @@ PreconditionError when it fails; `theorem_filter` and `mod4_filter` are
 the unguarded variants, run on unverified quadruples by `wkit check
 product-filter` and `wkit check mod4-filter`.  They may only reject
 quadruples that cannot be Williamson.  The search does not call them: it
-applies the product condition through xor signatures (see `search`), and
+counts the product condition through xor signatures (see `search`), and
 on even orders the mod4 test is the same test.
 """
 

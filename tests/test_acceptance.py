@@ -20,6 +20,7 @@ from wkit.groupring import (
     hall_identity_check,
     mod2_square_check,
 )
+from wkit.cli import main
 from wkit.hadamard import is_hadamard, williamson_array
 from wkit.search import SearchConfig, search
 from wkit.seqcore import (
@@ -181,24 +182,24 @@ def test_acceptance_5_group_ring_oracles(found_by_order):
     )
 
 
-def test_acceptance_6_filter_and_worker_invariance():
+def test_acceptance_6_filter_and_worker_invariance(tmp_path):
+    # The search has no filter options left, so worker invariance is the
+    # whole check: --workers must not change a byte of the output.
     runs = 0
     mismatches = 0
     for n in range(1, 9):
-        reference = None
-        for product, rowsum in itertools.product((True, False), repeat=2):
-            cfg = SearchConfig(n=n, use_product_filter=product, use_rowsum_prefilter=rowsum)
-            quads, _ = search(cfg)
-            text = "\n".join(quadruple_to_text(q) for q in quads)
+        outputs = []
+        for workers in ("1", "3"):
+            path = tmp_path / f"n{n}_w{workers}.txt"
+            assert main(["search", "--n", str(n), "--workers", workers, "--out", str(path)]) == 0
+            lines = path.read_text().splitlines()
+            outputs.append([line for line in lines if not line.startswith("# elapsed_seconds ")])
             runs += 1
-            if reference is None:
-                reference = text
-            elif text != reference:
-                mismatches += 1
+        mismatches += outputs[0] != outputs[1]
     ok = mismatches == 0
     _verdict(
         6,
-        "filter invariance",
+        "worker invariance",
         ok,
         f"orders 1..8, {runs} runs, {mismatches} output mismatches",
     )

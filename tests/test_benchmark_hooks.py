@@ -1,12 +1,15 @@
 """The names the benchmark's traced run looks up in the program.
 
-perfbench/tracing.py wraps functions by module and attribute name, and
-perfbench/client.py reads lru_cache counters by name.  A binding that
-disappears makes the traced run fail, so it is caught here first.
+perfbench/tracing.py wraps functions by module and attribute name,
+perfbench/client.py reads lru_cache counters by name, and
+perfbench/workloads.py runs fixed search command lines.  A binding or a
+flag that disappears makes the benchmark run fail, so it is caught here
+first.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,8 @@ def load(monkeypatch):
             f"perfbench_{name}", PERFBENCH / f"{name}.py"
         )
         module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules while it loads.
+        monkeypatch.setitem(sys.modules, spec.name, module)
         spec.loader.exec_module(module)
         return module
 
@@ -48,3 +53,13 @@ def test_every_counted_cache_is_an_lru_cache(load):
     assert client.CACHES
     for name in client.CACHES:
         assert hasattr(getattr(wkit.seqcore, name, None), "cache_info"), name
+
+
+def test_every_search_argv_parses(load):
+    # perfbench/workloads.py passes these command lines to `wkit`; a flag
+    # it uses must not be dropped from the parser.
+    workloads = load("workloads")
+    for seed in (0, 1):
+        for op in workloads.search_ops(seed):
+            args = wkit.cli.build_parser().parse_args(list(op.cmd))
+            assert args.func is wkit.cli.cmd_search

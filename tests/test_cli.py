@@ -115,14 +115,11 @@ def test_search_canonical(run_cli):
     assert set(quad_lines) <= set(raw_quads)
 
 
-def test_search_filter_flags_do_not_change_results(run_cli):
-    rc, base, _ = run_cli(["search", "--n", "4"])
-    assert rc == OK
-    rc, unfiltered, _ = run_cli(
-        ["search", "--n", "4", "--no-product-filter", "--no-mod4-filter", "--no-rowsum-filter"]
-    )
-    assert rc == OK
-    assert _split_results(base)[0] == _split_results(unfiltered)[0]
+@pytest.mark.parametrize("flag", ["--no-product-filter", "--no-rowsum-filter", "--no-mod4-filter"])
+def test_search_removed_filter_flags_are_usage_errors(run_cli, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["search", "--n", "4", flag])
+    assert exc.value.code == USAGE_ERROR
 
 
 def test_search_workers_flag(run_cli):
@@ -240,6 +237,11 @@ def test_hadamard_rejects_junk(run_cli):
     assert rc == USAGE_ERROR
     rc, _, err = run_cli(["hadamard"], "")
     assert rc == USAGE_ERROR
+    # the error names the line the quadruple is on, after blank lines
+    rc, out, err = run_cli(["hadamard"], "\n\n++;+x;+-;+-")
+    assert rc == USAGE_ERROR
+    assert out == ""
+    assert err == "line 3, column 5: unexpected character 'x'\n"
 
 
 def test_hadamard_rejects_extra_lines(run_cli):
@@ -328,16 +330,19 @@ def test_search_round_trip_via_stdin(run_cli):
         ["check", "williamson", "--in", "{missing}"],
         ["search", "--n", "2", "--out", "{missing}/results.txt"],
         ["verify", "--out", "{missing}/report.txt"],
+        ["verify", "--in", "{not_utf8}"],
     ],
 )
 def test_unreadable_input_or_unwritable_output_is_usage_error(run_cli, tmp_path, argv):
     missing = str(tmp_path / "missing")
-    argv = [arg.format(missing=missing) for arg in argv]
+    not_utf8 = tmp_path / "not_utf8"
+    not_utf8.write_bytes(b"\xff\xfe++;++;+-;+-\n")
+    argv = [arg.format(missing=missing, not_utf8=not_utf8) for arg in argv]
     rc, out, err = run_cli(argv, "+;+;+;+\n")
     assert rc == USAGE_ERROR
     assert out == ""
     assert err.startswith(f"wkit {argv[0]}: cannot ")
-    assert missing in err
+    assert str(tmp_path) in err
     assert err.count("\n") == 1
 
 

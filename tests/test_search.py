@@ -1,7 +1,8 @@
-"""Exhaustive search, pruning filters, canonicalization, determinism."""
+"""Exhaustive search, pruning counters, canonicalization, determinism."""
 
 import itertools
 import types
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,6 @@ from wkit.search import (
     canonicalize,
     enumerate_symmetric,
     format_results,
-    rowsum_prefilter,
     search,
 )
 from wkit.seqcore import (
@@ -26,7 +26,7 @@ from wkit.seqcore import (
     row_sum,
     sequence_to_text,
 )
-from wkit.theorems import product_condition
+from wkit.theorems import mod4_filter, product_condition
 
 # Raw counts per order.  1 and 2 are contract values; 3..5 are additionally
 # cross-checked against the naive matrix-only scan below, and 6..8 are
@@ -36,8 +36,16 @@ RAW_COUNTS = {1: 16, 2: 96, 3: 64, 4: 256, 5: 192, 6: 1536, 7: 960, 8: 1536}
 
 # (raw, canonical) counts at the larger orders the join reaches, each
 # cross-checked against the independent numpy pair-sum join in
-# perfbench/oracle.py.
-LARGE_COUNTS = {12: (16384, 52), 14: (87552, 228), 16: (24576, 100)}
+# perfbench/oracle.py, and the exact (examined, pruned_rowsum,
+# pruned_product) counters; 10 and 11 are the benchmark's orders, whose
+# counters the count^4 scan of earlier versions also gave.
+LARGE_COUNTS = {
+    10: ((7680, 20), (235_008, 15_817_216, 724_992)),
+    11: ((1920, 5), (57_600, 15_817_216, 902_400)),
+    12: ((16384, 52), (1_809_792, 261_155_456, 5_470_208)),
+    14: ((87552, 228), (22_468_608, 4_125_623_296, 146_875_392)),
+    16: ((24576, 100), (29_256_448, 68_485_292_800, 204_927_488)),
+}
 
 
 def _candidate_space(n):
@@ -81,7 +89,7 @@ def test_enumerate_symmetric_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
-# Row-sum prefilter
+# Row-sum test
 
 
 def _admissible_rowsums_oracle(n):
@@ -102,20 +110,21 @@ def _admissible_rowsums_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rowsum_prefilter_matches_oracle(n):
-    assert rowsum_prefilter(n) == _admissible_rowsums_oracle(n)
-
-
-def test_rowsum_prefilter_sizes():
-    assert len(rowsum_prefilter(1)) == 16
-    assert len(rowsum_prefilter(2)) == 24
-    assert len(rowsum_prefilter(3)) == 64
+    # The search counts admissible row sums by their squares alone; the
+    # oracle also checks |s| <= n and s = n (mod 2) for every slot.
+    per_row_sum = Counter(sum(t) for t in symmetric_tuples(n))
+    admitted = sum(
+        per_row_sum[sa] * per_row_sum[sb] * per_row_sum[sc] * per_row_sum[sd]
+        for sa, sb, sc, sd in _admissible_rowsums_oracle(n)
+    )
+    _, report = search(SearchConfig(n=n))
+    assert report.candidates_pruned_by_filter["rowsum"] == _candidate_space(n) - admitted
 
 
 def test_found_rowsums_are_admissible(found_by_order):
     for n, (quads, _) in found_by_order.items():
-        admissible = rowsum_prefilter(n)
         for q in quads:
-            assert tuple(row_sum(s) for s in q.sequences()) in admissible
+            assert sum(row_sum(s) ** 2 for s in q.sequences()) == 4 * n
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +141,15 @@ def test_raw_counts(found_by_order):
 @pytest.mark.parametrize("n", sorted(LARGE_COUNTS))
 def test_large_order_counts(n):
     quads, report = search(SearchConfig(n=n))
-    assert (report.raw_count, report.canonical_count) == LARGE_COUNTS[n]
+    counts, (examined, pruned_rowsum, pruned_product) = LARGE_COUNTS[n]
+    assert (report.raw_count, report.canonical_count) == counts
     assert len(quads) == report.raw_count
-    assert report.candidates_examined + sum(
-        report.candidates_pruned_by_filter.values()
-    ) == _candidate_space(n)
+    assert report.candidates_examined == examined
+    assert report.candidates_pruned_by_filter == {
+        "rowsum": pruned_rowsum,
+        "product": pruned_product,
+    }
+    assert examined + pruned_rowsum + pruned_product == _candidate_space(n)
 
 
 def test_contract_counts_fresh_runs():
@@ -185,26 +198,9 @@ def test_examined_plus_pruned_covers_the_space(found_by_order):
         assert total == _candidate_space(n)
 
 
-def test_disabled_filters_prune_nothing():
-    cfg = SearchConfig(n=6, use_product_filter=False, use_rowsum_prefilter=False)
-    _, report = search(cfg)
-    assert report.candidates_pruned_by_filter == {"rowsum": 0, "product": 0, "mod4": 0}
-    assert report.candidates_examined == _candidate_space(6)
-
-
-def test_single_filter_runs_attribute_pruning_to_that_filter():
-    base = dict(use_product_filter=False, use_rowsum_prefilter=False)
-    for name, flag in (("rowsum", "use_rowsum_prefilter"), ("product", "use_product_filter")):
-        cfg = SearchConfig(n=6, **{**base, flag: True})
-        _, report = search(cfg)
-        pruned = report.candidates_pruned_by_filter
-        assert pruned[name] > 0
-        assert all(v == 0 for k, v in pruned.items() if k != name)
-
-
 # ---------------------------------------------------------------------------
 # Direct count^4 scan: the reference for the join's result set and for its
-# computed filter counters.  Works from the definitions and shares no code
+# computed counters.  Works from the definitions and shares no code
 # with the search module.
 
 
@@ -240,27 +236,16 @@ def _direct_scan(n, with_flags):
     return found, flags
 
 
-def _scan_counters(flags, rowsum, product):
-    """Counters of a scan that prunes each candidate at the first enabled
-    filter it fails, in the order rowsum, product.  The search has no mod4
-    stage, so its counter stays 0."""
-    out = {"examined": 0, "rowsum": 0, "product": 0, "mod4": 0}
-    for oks, k in flags.items():
-        enabled = (rowsum, product)
-        failed = [name for name, on, ok in zip(("rowsum", "product"), enabled, oks) if on and not ok]
-        out[failed[0] if failed else "examined"] += k
-    return out
-
-
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_counters_match_direct_scan(n):
+    # A candidate is pruned by the first test it fails, rowsum then product.
     _, flags = _direct_scan(n, with_flags=True)
-    for product, rowsum in itertools.product((False, True), repeat=2):
-        _, report = search(
-            SearchConfig(n=n, use_product_filter=product, use_rowsum_prefilter=rowsum)
-        )
-        got = {"examined": report.candidates_examined, **report.candidates_pruned_by_filter}
-        assert got == _scan_counters(flags, rowsum, product)
+    _, report = search(SearchConfig(n=n))
+    assert report.candidates_examined == flags.get((True, True), 0)
+    assert report.candidates_pruned_by_filter == {
+        "rowsum": flags.get((False, True), 0) + flags.get((False, False), 0),
+        "product": flags.get((True, False), 0),
+    }
 
 
 def test_results_match_direct_scan(found_by_order):
@@ -304,45 +289,24 @@ def test_product_signatures_refuse_a_disagreeing_condition(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_even_mod4_prunes_what_product_would(n):
-    # There is no mod4 stage: on even n the mod4 test is the product test
-    # (test_theorems covers the equivalence), so with product off its
-    # counter stays 0 and what product would prune is examined instead.
-    for rowsum in (False, True):
-        _, product_on = search(SearchConfig(n=n, use_rowsum_prefilter=rowsum))
-        _, product_off = search(
-            SearchConfig(n=n, use_product_filter=False, use_rowsum_prefilter=rowsum)
-        )
-        assert product_off.candidates_pruned_by_filter["mod4"] == 0
-        assert product_off.candidates_examined == (
-            product_on.candidates_examined + product_on.candidates_pruned_by_filter["product"]
-        )
+    # There is no mod4 stage, and the report's mod4 line is a fixed 0: on
+    # even n the mod4 test accepts a product sequence exactly when the
+    # search's product signature hits its target, and on odd n it accepts
+    # every one.  The test depends only on the entrywise product, and each
+    # symmetric sequence s is the product of (s, 1, 1, 1).
+    seqs = list(enumerate_symmetric(n))
+    sigs, target = _product_signatures([s.entries for s in seqs])
+    ones = PmOneSequence((1,) * n)
+    for s, sig in zip(seqs, sigs):
+        quad = WilliamsonQuadruple(s, ones, ones, ones)
+        assert mod4_filter(quad) == (n % 2 == 1 or sig == target)
+    assert "# pruned_mod4 0" in format_results(*search(SearchConfig(n=n))).splitlines()
 
 
 def test_report_counts_consistent(found_by_order):
     for quads, report in found_by_order.values():
         assert report.raw_count >= report.canonical_count >= 0
         assert report.elapsed >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# Filter soundness and determinism
-
-
-def _result_lines(quads):
-    return [quadruple_to_text(q) for q in quads]
-
-
-@pytest.mark.parametrize("n", (4, 6))
-def test_filter_combinations_agree(n):
-    reference = None
-    for product, rowsum in itertools.product((False, True), repeat=2):
-        quads, _ = search(
-            SearchConfig(n=n, use_product_filter=product, use_rowsum_prefilter=rowsum)
-        )
-        lines = _result_lines(quads)
-        if reference is None:
-            reference = lines
-        assert lines == reference
 
 
 # ---------------------------------------------------------------------------
