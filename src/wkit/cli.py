@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: verify, search, compress, hadamard, check.  Line-oriented
-I/O throughout; input comes from --in or stdin, output goes to --out or
-stdout.  Exit status: 0 success, 1 verification/check failure, 2 usage or
-parse error.
+I/O throughout; input comes from --in or stdin (search reads none),
+output goes to --out or stdout.  Exit status: 0 success, 1
+verification/check failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -219,9 +219,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     return status
 
 
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", dest="output", metavar="PATH", help="output file (default: stdout)")
+
+
 def _add_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--in", dest="input", metavar="PATH", help="input file (default: stdin)")
-    parser.add_argument("--out", dest="output", metavar="PATH", help="output file (default: stdout)")
+    _add_out(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1, help="selects nothing (at least 1): one process searches"
     )
-    _add_io(p)
+    _add_out(p)  # the search reads no input
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("compress", help="2-compress sequence lines")

@@ -1,12 +1,40 @@
 """Exhaustive enumeration of Williamson quadruples of a given order.
 
-Strategy: a meet-in-the-middle self-join on PAF sums.  A quadruple
-(A, B, C, D) of symmetric sequences is Williamson iff
-PAF_A + PAF_B = -(PAF_C + PAF_D) at every shift in 1..n//2.  One table maps
-each PAF sum over shifts 1..n//2 to the ordered pairs that have it, and the
-pairs under each key combine with the pairs under the negated key, so the
-work is count^2 pairs instead of count^4 quadruples, where count is the
-number of symmetric sequences of order n.
+A quadruple (A, B, C, D) of symmetric sequences is Williamson iff
+PAF_A + PAF_B = -(PAF_C + PAF_D) at every shift in 1..m, where m = n//2.
+The search is a meet-in-the-middle self-join on those pair sums, done on
+integer arrays, so the work is count^2 pairs instead of count^4
+quadruples, where count = 2^(m+1) is the number of symmetric sequences of
+order n:
+
+  table     - the symmetric sequences in `enumerate_symmetric` order, which
+              is their text order, so index order is text order; and their
+              PAFs at shifts 1..m as one (count, m) int64 array.
+  keys      - one int64 key per ordered pair (A, B).  Every PAF of a ±1
+              sequence of length n is congruent to n mod 4, so a pair sum s
+              lies in [-2n, 2n] with (s + 2n)/4 a digit in 0..n.  The key
+              packs the m digits in base n+1.  Packing is linear, so each
+              sequence is packed once, shift by shift, and a pair's key is
+              a sum of two packed values: the count^2 x m array of pair sums
+              is never held.  Negating the sums maps each digit d to n - d,
+              so a pair with key K meets exactly the pairs with key
+              (n+1)^m - 1 - K.  Keys fit int64 while (n+1)^m <= 2^63, that
+              is up to order KEY_MAX_N.
+  join      - the keys are argsorted, and each pair's wanted key is looked
+              up with searchsorted.  Each match is one index row
+              (a, b, c, d); the rows are sorted as packed base-count
+              integers, which is the text order of the result lines.
+  re-check  - every row is checked again exactly: its four PAF rows must
+              sum to 0 at every shift, or the search raises RuntimeError.
+  canonical - negation maps index i to count-1-i, so a row's minimum under
+              sequence negations and slot permutations is the sorted
+              min(i, count-1-i) of its slots, and np.unique of those rows
+              gives the canonical representatives in text order.
+
+`search` returns the rows as a `SearchResults`: a read-only sequence over
+the table and the rows that builds a `WilliamsonQuadruple` only when an
+item is accessed.  `format_results` writes each line from per-sequence
+texts computed once.
 
 Two necessary conditions on a full candidate, the row-sum test and then
 the product test, are not applied during the join: every Williamson
@@ -47,22 +75,28 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .seqcore import (
     PmOneSequence,
     WilliamsonQuadruple,
     _paf_vector,
     parse_quadruple,
-    quadruple_to_text,
+    quadruple_to_text,  # unused here; perfbench/tracing.py wraps this binding
     sequence_to_text,
 )
 from .theorems import product_condition
 
-# Exhaustive-mode order cap.  The join does count^2 = 4^(n//2 + 1) pair
-# lookups, so each two-step rise in n costs about 4x; n = 16 takes seconds
-# in pure Python.  The CLI can override it through WKIT_MAX_N.
+# Exhaustive-mode order cap.  The join sorts count^2 = 4^(n//2 + 1) pair
+# keys, so each two-step rise in n costs about 4x; n = 16 takes a fraction
+# of a second.  The CLI can override it through WKIT_MAX_N.
 ORDER_CAP = 16
+
+# Largest order whose packed pair keys fit int64: (n+1)^(n//2) <= 2^63.
+KEY_MAX_N = 27
 
 
 @dataclass(frozen=True)
@@ -89,6 +123,28 @@ class SearchReport:
         default_factory=lambda: {"rowsum": 0, "product": 0}
     )
     elapsed: float = 0.0
+
+
+class SearchResults(Sequence):
+    """The quadruples one search found, as a read-only sequence.
+
+    `table` holds the symmetric sequences of the order in text order, and
+    `rows` is a read-only (k, 4) int64 array of indices into it, sorted,
+    so the items come in text order.  Each item is a `WilliamsonQuadruple`
+    built when it is accessed; a slice is another `SearchResults`.
+    """
+
+    def __init__(self, table: tuple[PmOneSequence, ...], rows: np.ndarray):
+        self.table = table
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SearchResults(self.table, self.rows[i])
+        return WilliamsonQuadruple(*(self.table[j] for j in self.rows[i]))
 
 
 def enumerate_symmetric(n: int):
@@ -132,24 +188,11 @@ def _product_signatures(seqs: list[tuple[int, ...]]) -> tuple[list[int], int]:
     return sigs, target
 
 
-def _join(seqs: list[tuple[int, ...]]) -> tuple[list[tuple[int, int, int, int]], int, int, int]:
-    """Every Williamson quadruple over `seqs` (all symmetric sequences of one
-    order), as index quadruples, plus the exact counters: candidates
-    examined, pruned by rowsum and pruned by product.
+def _counters(seqs: list[tuple[int, ...]]) -> tuple[int, int, int]:
+    """The exact counters over `seqs` (all symmetric sequences of one
+    order): candidates examined, pruned by rowsum and pruned by product.
     """
     n = len(seqs[0])
-    pafs = [_paf_vector(s)[1 : n // 2 + 1] for s in seqs]
-
-    pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ia, pa in enumerate(pafs):
-        for ib, pb in enumerate(pafs):
-            key = tuple([x + y for x, y in zip(pa, pb)])
-            pairs.setdefault(key, []).append((ia, ib))
-    found: list[tuple[int, int, int, int]] = []
-    for key, ab_pairs in pairs.items():
-        cd_pairs = pairs.get(tuple([-x for x in key]), ())
-        found.extend((ia, ib, ic, id_) for ia, ib in ab_pairs for ic, id_ in cd_pairs)
-
     # H(q, x) and H(q) of the module docstring, over ordered pairs.
     sigs, target = _product_signatures(seqs)
     classes = Counter(zip([sum(s) ** 2 for s in seqs], sigs))
@@ -162,43 +205,109 @@ def _join(seqs: list[tuple[int, ...]]) -> tuple[list[tuple[int, int, int, int]],
         h_q[q] += k
     admitted = sum(k * h_q[4 * n - q] for q, k in h_q.items())
     kept = sum(k * h_qx[4 * n - q, x ^ target] for (q, x), k in h_qx.items())
-    return found, kept, len(seqs) ** 4 - admitted, admitted - kept
+    return kept, len(seqs) ** 4 - admitted, admitted - kept
 
 
-def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[list[WilliamsonQuadruple], SearchReport]:
+def _paf_table(seqs: list[tuple[int, ...]]) -> np.ndarray:
+    """PAFs at shifts 1..n//2 of each sequence, one int64 row per sequence."""
+    m = len(seqs[0]) // 2
+    return np.array([_paf_vector(s)[1 : m + 1] for s in seqs], dtype=np.int64)
+
+
+def _pack(rows: np.ndarray, count: int) -> np.ndarray:
+    """Each index row (a, b, c, d) as the base-count integer abcd."""
+    packed = np.zeros(len(rows), dtype=np.int64)
+    for slot in range(4):
+        packed = packed * count + rows[:, slot]
+    return packed
+
+
+def _unpack(packed: np.ndarray, count: int) -> np.ndarray:
+    """Inverse of `_pack`: the (k, 4) index rows of packed integers."""
+    rows = np.empty((len(packed), 4), dtype=np.int64)
+    for slot in (3, 2, 1, 0):
+        packed, rows[:, slot] = np.divmod(packed, count)
+    return rows
+
+
+def _join(pafs: np.ndarray, n: int) -> np.ndarray:
+    """Every index row (a, b, c, d) whose PAF rows in `pafs` sum to 0 at
+    every shift, sorted; the module docstring describes the keys.
+    """
+    count, m = pafs.shape
+    full = (n + 1) ** m - 1
+    # A PAF is n + 4d with d an integer, and a pair's digit (sum + 2n)/4 is
+    # d_a + d_b + n.  The n at every digit packs to `full`, so a pair's key
+    # is the sum of its two sequences' packed d plus `full`.
+    packed_d = np.zeros(count, dtype=np.int64)
+    for shift in range(m):
+        packed_d = packed_d * (n + 1) + (pafs[:, shift] - n) // 4
+    keys = (packed_d[:, None] + (packed_d + full)).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    # The wanted keys of the sorted pairs, reversed, ascend, so both
+    # searches walk the sorted keys once.
+    wanted = full - sorted_keys[::-1]
+    lo = np.searchsorted(sorted_keys, wanted, side="left")[::-1]
+    hits = np.searchsorted(sorted_keys, wanted, side="right")[::-1] - lo
+    # The pair order[i] meets the pairs order[lo[i] : lo[i] + hits[i]].
+    ab = np.repeat(order, hits)
+    offset = np.repeat(lo - (np.cumsum(hits) - hits), hits)
+    cd = order[offset + np.arange(len(ab))]
+    # ab * count^2 + cd is the row (a, b, c, d) packed as by _pack.
+    return _unpack(np.sort(ab * (count * count) + cd), count)
+
+
+def _check_rows(pafs: np.ndarray, rows: np.ndarray) -> None:
+    """Raise RuntimeError unless the four PAF rows of every index row sum
+    to 0 at every shift: the exact Williamson test, on every match."""
+    slots = rows.T.copy()
+    for shift, col in enumerate(pafs.T, 1):
+        bad = np.flatnonzero(col[slots[0]] + col[slots[1]] + col[slots[2]] + col[slots[3]])
+        if len(bad):
+            row = rows[bad[0]]
+            raise RuntimeError(
+                f"join matched index row {row.tolist()}, whose PAFs sum to "
+                f"{col[row].sum()} at shift {shift}"
+            )
+
+
+def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[SearchResults, SearchReport]:
     """Find every Williamson quadruple of order cfg.n.
 
     Returns the raw ordered quadruples (or canonical representatives if
-    cfg.canonical_only), sorted by text form, plus a report.
+    cfg.canonical_only), sorted by text form, as a `SearchResults`, plus a
+    report.
     """
+    n = cfg.n
     cap = ORDER_CAP if order_cap is None else order_cap
-    if not 1 <= cfg.n <= cap:
-        raise ValueError(f"order {cfg.n} outside supported range 1..{cap}")
+    if not 1 <= n <= cap:
+        raise ValueError(f"order {n} outside supported range 1..{cap}")
+    if n > KEY_MAX_N:
+        raise ValueError(
+            f"order {n} above {KEY_MAX_N}, the largest order whose packed join keys fit int64"
+        )
 
     start = time.perf_counter()
-    seq_objs = list(enumerate_symmetric(cfg.n))
-    found_idx, examined, pruned_rowsum, pruned_product = _join([s.entries for s in seq_objs])
+    table = tuple(enumerate_symmetric(n))
+    seqs = [s.entries for s in table]
+    pafs = _paf_table(seqs)
+    rows = _join(pafs, n)
+    _check_rows(pafs, rows)
+    count = len(table)
+    lowest = np.sort(np.minimum(rows, count - 1 - rows), axis=1)
+    canonical = _unpack(np.unique(_pack(lowest, count)), count)
+    examined, pruned_rowsum, pruned_product = _counters(seqs)
     report = SearchReport(
+        raw_count=len(rows),
+        canonical_count=len(canonical),
         candidates_examined=examined,
         candidates_pruned_by_filter={"rowsum": pruned_rowsum, "product": pruned_product},
     )
-
-    # Text once per sequence: sorting and canonical forms work on these
-    # strings, and the canonical minimum per slot is the lesser of a
-    # sequence's text and its negation's (see _canonical_text).
-    texts = [sequence_to_text(s) for s in seq_objs]
-    by_text = dict(zip(texts, seq_objs))
-    lowest = [min(t, sequence_to_text(s.negated())) for t, s in zip(texts, seq_objs)]
-    found_idx.sort(key=lambda idx: [texts[i] for i in idx])
-    canonical = sorted({tuple(sorted(lowest[i] for i in idx)) for idx in found_idx})
-    report.raw_count = len(found_idx)
-    report.canonical_count = len(canonical)
-    if cfg.canonical_only:
-        result = [WilliamsonQuadruple(*(by_text[t] for t in c)) for c in canonical]
-    else:
-        result = [WilliamsonQuadruple(*(seq_objs[i] for i in idx)) for idx in found_idx]
+    kept = canonical if cfg.canonical_only else rows
+    kept.setflags(write=False)
     report.elapsed = time.perf_counter() - start
-    return result, report
+    return SearchResults(table, kept), report
 
 
 def _canonical_text(q: WilliamsonQuadruple) -> str:
@@ -219,10 +328,12 @@ def canonicalize(q: WilliamsonQuadruple) -> WilliamsonQuadruple:
     return parse_quadruple(_canonical_text(q))
 
 
-def format_results(quads: list[WilliamsonQuadruple], report: SearchReport) -> str:
+def format_results(results: SearchResults, report: SearchReport) -> str:
     """Results file: one quadruple text per line, then a '#' report block."""
     pruned = report.candidates_pruned_by_filter
-    lines = [quadruple_to_text(q) for q in quads]
+    texts = [sequence_to_text(s) for s in results.table]
+    slots = [[texts[i] for i in column] for column in results.rows.T.tolist()]
+    lines = list(map(";".join, zip(*slots)))
     lines += [
         f"# raw_count {report.raw_count}",
         f"# canonical_count {report.canonical_count}",

@@ -122,6 +122,17 @@ def test_search_removed_filter_flags_are_usage_errors(run_cli, flag):
     assert exc.value.code == USAGE_ERROR
 
 
+def test_search_takes_no_input_file(run_cli, tmp_path):
+    # The search reads nothing, so --in is a usage error, for a missing
+    # file as for a readable one.
+    present = tmp_path / "present.txt"
+    present.write_text("+;+;+;+\n")
+    for path in (tmp_path / "missing", present):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["search", "--n", "2", "--in", str(path)])
+        assert exc.value.code == USAGE_ERROR
+
+
 def test_search_workers_flag(run_cli):
     rc, one, _ = run_cli(["search", "--n", "4", "--workers", "1"])
     assert rc == OK
@@ -155,6 +166,17 @@ def test_search_env_cap(run_cli, monkeypatch):
     rc, out, _ = run_cli(["search", "--n", "3"])
     assert rc == OK
     assert len(_split_results(out)[0]) == 64
+
+
+def test_search_env_cap_above_the_join_key_width(run_cli, monkeypatch):
+    # WKIT_MAX_N accepts 28, but the join's packed keys overflow int64 there:
+    # a one-line refusal, before any work.
+    monkeypatch.setenv("WKIT_MAX_N", "28")
+    rc, out, err = run_cli(["search", "--n", "28"])
+    assert rc == USAGE_ERROR
+    assert out == ""
+    assert err.startswith("wkit search: order 28 ")
+    assert err.count("\n") == 1
 
 
 def test_search_env_cap_junk(run_cli, monkeypatch):

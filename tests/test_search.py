@@ -1,16 +1,22 @@
 """Exhaustive search, pruning counters, canonicalization, determinism."""
 
+import importlib.util
 import itertools
 import types
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wkit.search
 from conftest import make_rng, random_quadruple, symmetric_by_definition, symmetric_tuples
 from wkit.search import (
+    KEY_MAX_N,
     ORDER_CAP,
     SearchConfig,
+    _check_rows,
+    _paf_table,
     _product_signatures,
     canonicalize,
     enumerate_symmetric,
@@ -18,6 +24,7 @@ from wkit.search import (
     search,
 )
 from wkit.seqcore import (
+    MAX_ORDER,
     PmOneSequence,
     WilliamsonQuadruple,
     is_williamson,
@@ -76,11 +83,15 @@ def test_enumerate_symmetric_is_complete_and_unique(n):
         assert symmetric_by_definition(t)
 
 
-def test_enumerate_symmetric_order():
+@pytest.mark.parametrize("n", range(1, 13))
+def test_enumerate_symmetric_order(n):
     # lexicographic in the free entries with +1 before -1, which matches
-    # the '+' < '-' text ordering
-    texts = [sequence_to_text(s) for s in enumerate_symmetric(5)]
+    # the '+' < '-' text ordering; the search sorts index rows as integers
+    # and maps negation to index count-1-i, so it relies on both
+    seqs = list(enumerate_symmetric(n))
+    texts = [sequence_to_text(s) for s in seqs]
     assert texts == sorted(texts)
+    assert [s.negated() for s in seqs] == seqs[::-1]
 
 
 def test_enumerate_symmetric_rejects_nonpositive():
@@ -170,6 +181,28 @@ def test_completeness_vs_naive_matrix_scan(n):
     }
     quads, _ = search(SearchConfig(n=n))
     assert {quadruple_to_text(q) for q in quads} == expected
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """perfbench/oracle.py, the benchmark's numpy join; it imports nothing
+    from wkit, and the package never imports it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", (10, 11, 12))
+def test_result_lines_match_the_benchmark_oracle(n, oracle):
+    quads = oracle.williamson_set(n)
+    for canonical_only, want in (
+        (False, sorted(oracle.quad_text(q) for q in quads)),
+        (True, sorted({oracle.canonical_text(q) for q in quads})),
+    ):
+        text = format_results(*search(SearchConfig(n=n, canonical_only=canonical_only)))
+        assert [line for line in text.splitlines() if not line.startswith("#")] == want
 
 
 def test_every_result_verifies(found_by_order):
@@ -374,6 +407,57 @@ def test_search_rejects_bad_orders():
         search(SearchConfig(n=ORDER_CAP + 1))
     with pytest.raises(ValueError):
         search(SearchConfig(n=3), order_cap=2)
+
+
+def test_search_refuses_orders_whose_keys_overflow(monkeypatch):
+    # KEY_MAX_N is the last order whose largest packed key, (n+1)^(n//2) - 1,
+    # fits int64; larger orders are refused before anything is enumerated.
+    assert (KEY_MAX_N + 1) ** (KEY_MAX_N // 2) <= 2**63
+    assert (KEY_MAX_N + 2) ** ((KEY_MAX_N + 1) // 2) > 2**63
+
+    def enumerate_nothing(n):
+        raise AssertionError("enumerated before the width check")
+
+    monkeypatch.setattr(wkit.search, "enumerate_symmetric", enumerate_nothing)
+    with pytest.raises(ValueError, match=f"order {KEY_MAX_N + 1} "):
+        search(SearchConfig(n=KEY_MAX_N + 1), order_cap=MAX_ORDER)
+
+
+# ---------------------------------------------------------------------------
+# Exact re-check of the join's matches
+
+
+def test_row_recheck_refuses_a_non_williamson_row(monkeypatch):
+    seqs = [s.entries for s in enumerate_symmetric(6)]
+    pafs = _paf_table(seqs)
+    quads, _ = search(SearchConfig(n=6))
+    _check_rows(pafs, quads.rows)
+    # Row 0 is the all-ones sequence four times: PAF sum 24 at every shift.
+    bad = np.vstack([quads.rows, [[0, 0, 0, 0]]])
+    with pytest.raises(RuntimeError, match="sum to 24 at shift 1"):
+        _check_rows(pafs, bad)
+    # search() re-checks whatever the join hands back.
+    monkeypatch.setattr(wkit.search, "_join", lambda pafs, n: bad)
+    with pytest.raises(RuntimeError, match=r"index row \[0, 0, 0, 0\]"):
+        search(SearchConfig(n=6))
+
+
+# ---------------------------------------------------------------------------
+# Lazy result sequence
+
+
+def test_search_results_build_quadruples_on_access():
+    quads, report = search(SearchConfig(n=5))
+    assert len(quads) == report.raw_count == 192
+    assert not quads.rows.flags.writeable
+    with pytest.raises(ValueError):
+        quads.rows[0, 0] = 1
+    lines = format_results(quads, report).splitlines()
+    assert [quadruple_to_text(q) for q in quads] == lines[:192]
+    assert quads[-1] == list(quads)[-1]
+    assert list(quads[10:20]) == list(quads)[10:20]
+    with pytest.raises(IndexError):
+        quads[len(quads)]
 
 
 # ---------------------------------------------------------------------------
