@@ -4,6 +4,16 @@ Subcommands: verify, search, compress, hadamard, check.  Line-oriented
 I/O throughout; input comes from --in or stdin (search reads none),
 output goes to --out or stdout.  Exit status: 0 success, 1
 verification/check failure, 2 usage or parse error.
+
+verify, compress and check share one input loop, `_each_line`, and one
+error policy.  Blank lines are skipped and the rest keep their 1-based
+input line numbers.  A ParseError prints `line N, column C: ...` to
+stderr and exits 2 before any output is written.  Any other ValueError
+(an over-long or asymmetric sequence, a failed precondition) fails only
+its own line: verify and check write it as that line's result, compress
+prints it to stderr.  Results are written once, after the last line.
+hadamard reads through the same non-blank-line reader and takes exactly
+one line.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from .search import ORDER_CAP, SearchConfig, format_results, search
 from .seqcore import (
     MAX_ORDER,
     ParseError,
-    PreconditionError,
     is_symmetric,
     is_williamson,
     matrix_williamson_check,
@@ -42,14 +51,15 @@ class CliError(Exception):
     """Bad input or environment, reported as one line with exit status 2."""
 
 
-def _read_lines(path: str | None) -> list[str]:
+def _read_lines(path: str | None) -> list[tuple[int, str]]:
+    """The non-blank input lines, each with its 1-based line number."""
     try:
         data = sys.stdin.read() if path is None else Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         source = "stdin" if path is None else path
         reason = getattr(exc, "strerror", None) or exc
         raise CliError(f"cannot read {source}: {reason}") from exc
-    return data.splitlines()
+    return [(k, line) for k, line in enumerate(data.splitlines(), 1) if line.strip()]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -76,44 +86,60 @@ def _order_cap() -> int:
     return cap
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _each_line(args: argparse.Namespace, parse, verdict, error_label: str | None = None) -> int:
+    """Write verdict(parse(line)) for each non-blank input line.
+
+    `verdict` returns (text, passed).  With an `error_label`, results are
+    written as `line N: text` and a ValueError other than a ParseError
+    becomes the result `line N: <error_label> (<message>)`; without one,
+    results are written bare and such an error goes to stderr as
+    `line N: <message>`.  A ParseError stops the run with exit status 2.
+    """
     out_lines = []
     status = OK
-    for lineno, raw in enumerate(_read_lines(args.input), 1):
-        if not raw.strip():
-            continue
+    for lineno, raw in _read_lines(args.input):
         try:
-            q = parse_quadruple(raw)
+            text, passed = verdict(parse(raw))
         except ParseError as exc:
             print(f"line {lineno}, {exc}", file=sys.stderr)
             return USAGE_ERROR
         except ValueError as exc:
-            out_lines.append(f"line {lineno}: williamson=FAIL ({exc})")
+            if error_label is None:
+                print(f"line {lineno}: {exc}", file=sys.stderr)
+                status = VERIFY_FAILED
+                continue
+            text, passed = f"{error_label} ({exc})", False
+        if not passed:
             status = VERIFY_FAILED
-            continue
-        even = q.n % 2 == 0
-        if is_williamson(q):
-            prod = product_theorem_even_check(q) if even else product_theorem_odd_check(q)
-            parts = ["williamson=PASS", f"product={'PASS' if prod else 'FAIL'}"]
-            ok = prod
-            if even:
-                mod4 = corollary_mod4_check(q)
-                parts.append(f"mod4={'PASS' if mod4 else 'FAIL'}")
-                ok = ok and mod4
-            hall = hall_identity_check(q)
-            parts.append(f"hall={'PASS' if hall else 'FAIL'}")
-            ok = ok and hall
-        else:
-            parts = ["williamson=FAIL", "product=SKIP"]
-            if even:
-                parts.append("mod4=SKIP")
-            parts.append("hall=SKIP")
-            ok = False
-        if not ok:
-            status = VERIFY_FAILED
-        out_lines.append(f"line {lineno}: " + " ".join(parts))
+        out_lines.append(text if error_label is None else f"line {lineno}: {text}")
     _write_text(args.output, "".join(line + "\n" for line in out_lines))
     return status
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    # The (name, check) battery for even and for odd orders.  The checks
+    # are read from this module when the command runs, so a rebound name
+    # (a tracing wrapper, say) is the one called.
+    hall = ("hall", hall_identity_check)
+    batteries = (
+        [("product", product_theorem_even_check), ("mod4", corollary_mod4_check), hall],
+        [("product", product_theorem_odd_check), hall],
+    )
+    skipped = [" ".join(["williamson=FAIL"] + [f"{name}=SKIP" for name, _ in b]) for b in batteries]
+
+    def verdict(q):
+        parity = q.n % 2
+        if not is_williamson(q):
+            return skipped[parity], False
+        parts = ["williamson=PASS"]
+        passed = True
+        for name, check in batteries[parity]:
+            ok = check(q)
+            parts.append(f"{name}={'PASS' if ok else 'FAIL'}")
+            passed = passed and ok
+        return " ".join(parts), passed
+
+    return _each_line(args, parse_quadruple, verdict, "williamson=FAIL")
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -129,25 +155,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    out_lines = []
-    status = OK
-    for lineno, raw in enumerate(_read_lines(args.input), 1):
-        if not raw.strip():
-            continue
-        try:
-            out_lines.append(str(compress2(parse_sequence(raw))))
-        except ParseError as exc:
-            print(f"line {lineno}, {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        except ValueError as exc:  # an over-long line or a PreconditionError
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            status = VERIFY_FAILED
-    _write_text(args.output, "".join(line + "\n" for line in out_lines))
-    return status
+    return _each_line(args, parse_sequence, lambda s: (str(compress2(s)), True))
 
 
 def cmd_hadamard(args: argparse.Namespace) -> int:
-    lines = [(k, line) for k, line in enumerate(_read_lines(args.input), 1) if line.strip()]
+    lines = _read_lines(args.input)
     if len(lines) != 1:
         raise CliError(f"expected one quadruple line, got {len(lines)}")
     ((lineno, line),) = lines
@@ -192,31 +204,13 @@ _CHECKS = {
 
 def cmd_check(args: argparse.Namespace) -> int:
     wants_quadruple, predicate = _CHECKS[args.what]
-    out_lines = []
-    status = OK
-    for lineno, raw in enumerate(_read_lines(args.input), 1):
-        if not raw.strip():
-            continue
-        try:
-            value = parse_quadruple(raw) if wants_quadruple else parse_sequence(raw)
-        except ParseError as exc:
-            print(f"line {lineno}, {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        except ValueError as exc:
-            out_lines.append(f"line {lineno}: ERROR ({exc})")
-            status = VERIFY_FAILED
-            continue
-        try:
-            passed = predicate(value)
-        except PreconditionError as exc:
-            out_lines.append(f"line {lineno}: ERROR ({exc})")
-            status = VERIFY_FAILED
-            continue
-        out_lines.append(f"line {lineno}: {'PASS' if passed else 'FAIL'}")
-        if not passed:
-            status = VERIFY_FAILED
-    _write_text(args.output, "".join(line + "\n" for line in out_lines))
-    return status
+
+    def verdict(value):
+        passed = predicate(value)
+        return ("PASS" if passed else "FAIL"), passed
+
+    parse = parse_quadruple if wants_quadruple else parse_sequence
+    return _each_line(args, parse, verdict, "ERROR")
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:

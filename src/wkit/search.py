@@ -84,7 +84,7 @@ from .seqcore import (
     PmOneSequence,
     WilliamsonQuadruple,
     _paf_vector,
-    parse_quadruple,
+    parse_quadruple,  # unused here; perfbench/tracing.py wraps this binding
     quadruple_to_text,  # unused here; perfbench/tracing.py wraps this binding
     sequence_to_text,
 )
@@ -310,22 +310,16 @@ def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[SearchResul
     return SearchResults(table, kept), report
 
 
-def _canonical_text(q: WilliamsonQuadruple) -> str:
-    # Negations act per slot independently and permutations realize any
-    # arrangement, so the orbit minimum is: minimize each sequence against
-    # its negation, then sort.  Sequences share one length, so joined-text
-    # comparison never straddles a ';' asymmetrically.
-    best = sorted(
-        min(sequence_to_text(s), sequence_to_text(s.negated())) for s in q.sequences()
-    )
-    return ";".join(best)
-
-
 def canonicalize(q: WilliamsonQuadruple) -> WilliamsonQuadruple:
     """Smallest text-form representative of q under sequence negations and
     slot permutations.  Idempotent; preserves the Williamson property.
     """
-    return parse_quadruple(_canonical_text(q))
+    # Negations act per slot independently and permutations realize any
+    # arrangement, so the orbit minimum is: minimize each sequence against
+    # its negation, then sort.  Sequences share one length, so sorting
+    # them by text sorts the joined text.
+    slots = (min(s, s.negated(), key=sequence_to_text) for s in q.sequences())
+    return WilliamsonQuadruple(*sorted(slots, key=sequence_to_text))
 
 
 def format_results(results: SearchResults, report: SearchReport) -> str:

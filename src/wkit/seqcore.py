@@ -119,18 +119,12 @@ class SquareMatrix:
         return self.array.shape[0]
 
 
-@lru_cache(maxsize=1 << 16)
-def _symmetric_entries(entries: tuple[int, ...]) -> bool:
-    n = len(entries)
-    return all(entries[i] == entries[n - i] for i in range(1, n))
-
-
 def is_symmetric(s: PmOneSequence) -> bool:
     """True iff s[i] = s[n-i] for all 1 <= i <= n-1 (indices mod n).
 
     Lengths 1 and 2 are vacuously symmetric.
     """
-    return _symmetric_entries(s.entries)
+    return s.entries[1:] == s.entries[:0:-1]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -216,34 +210,29 @@ def quadruple_to_text(q: WilliamsonQuadruple) -> str:
     return ";".join(sequence_to_text(s) for s in q.sequences())
 
 
-def _scan_signs(text: str, start: int, end: int) -> list[int]:
-    out: list[int] = []
-    for pos in range(start, end):
-        ch = text[pos]
-        if ch == "+":
-            out.append(1)
-        elif ch == "-":
-            out.append(-1)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", column=pos + 1)
-    return out
+_SIGNS = {"+": 1, "-": -1}
 
 
-def _trimmed_span(text: str) -> tuple[int, int]:
-    start, end = 0, len(text)
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return start, end
+def _signs(part: str, column: int) -> PmOneSequence:
+    # `part` is non-empty and its first character sits at 1-based `column`.
+    entries = tuple(map(_SIGNS.get, part))
+    if None in entries:
+        i = entries.index(None)
+        raise ParseError(f"unexpected character {part[i]!r}", column=column + i)
+    return PmOneSequence(entries)
 
 
 def parse_sequence(text: str) -> PmOneSequence:
-    """Parse a '+'/'-' string; rejects any other character."""
-    start, end = _trimmed_span(text)
-    if start == end:
+    """Parse a '+'/'-' string; rejects any other character.
+
+    Surrounding whitespace is ignored; error columns count from the start
+    of `text`.
+    """
+    body = text.strip()
+    start = len(text) - len(text.lstrip())
+    if not body:
         raise ParseError("empty sequence", column=start + 1)
-    return PmOneSequence(tuple(_scan_signs(text, start, end)))
+    return _signs(body, start + 1)
 
 
 def parse_quadruple(text: str) -> WilliamsonQuadruple:
@@ -252,21 +241,20 @@ def parse_quadruple(text: str) -> WilliamsonQuadruple:
     Raises ParseError for malformed text and ValueError (from the
     quadruple constructor) for structurally invalid sequences.
     """
-    start, end = _trimmed_span(text)
-    if start == end:
+    body = text.strip()
+    start = len(text) - len(text.lstrip())
+    if not body:
         raise ParseError("empty quadruple", column=start + 1)
-    parts: list[tuple[int, int]] = []
-    part_start = start
-    for pos in range(start, end):
-        if text[pos] == ";":
-            parts.append((part_start, pos))
-            part_start = pos + 1
-    parts.append((part_start, end))
+    parts = body.split(";")
     if len(parts) != 4:
-        raise ParseError(f"expected 4 ';'-separated sequences, got {len(parts)}", column=end)
+        raise ParseError(
+            f"expected 4 ';'-separated sequences, got {len(parts)}", column=start + len(body)
+        )
     seqs = []
-    for lo, hi in parts:
-        if lo == hi:
-            raise ParseError("empty sequence in quadruple", column=lo + 1)
-        seqs.append(PmOneSequence(tuple(_scan_signs(text, lo, hi))))
+    column = start + 1
+    for part in parts:
+        if not part:
+            raise ParseError("empty sequence in quadruple", column=column)
+        seqs.append(_signs(part, column))
+        column += len(part) + 1
     return WilliamsonQuadruple(*seqs)

@@ -61,21 +61,24 @@ def product_condition(products: Sequence[int]) -> bool:
     return all(products[i] == products[i + m] for i in range(m))
 
 
+def _require_williamson(q: WilliamsonQuadruple, check: str, parity: str) -> None:
+    # The guard of the *_check predicates: the parity ("odd" or "even") of
+    # the order first, then the Williamson condition.
+    if ("odd" if q.n % 2 else "even") != parity:
+        raise PreconditionError(f"{check} requires {parity} order")
+    if not is_williamson(q):
+        raise PreconditionError(f"{check} requires a Williamson quadruple")
+
+
 def product_theorem_odd_check(q: WilliamsonQuadruple) -> bool:
     """Odd-order product theorem: entry products flip sign against index 0."""
-    if q.n % 2 == 0:
-        raise PreconditionError("product_theorem_odd_check requires odd order")
-    if not is_williamson(q):
-        raise PreconditionError("product_theorem_odd_check requires a Williamson quadruple")
+    _require_williamson(q, "product_theorem_odd_check", "odd")
     return product_condition(_entry_products(q))
 
 
 def product_theorem_even_check(q: WilliamsonQuadruple) -> bool:
     """Even-order product theorem: entry products repeat across half-periods."""
-    if q.n % 2 != 0:
-        raise PreconditionError("product_theorem_even_check requires even order")
-    if not is_williamson(q):
-        raise PreconditionError("product_theorem_even_check requires a Williamson quadruple")
+    _require_williamson(q, "product_theorem_even_check", "even")
     return product_condition(_entry_products(q))
 
 
@@ -91,10 +94,7 @@ def compress2(s: PmOneSequence) -> CompressedSequence:
 
 def corollary_mod4_check(q: WilliamsonQuadruple) -> bool:
     """The four 2-compressions sum entrywise to 0 mod 4 (even-order quadruples)."""
-    if q.n % 2 != 0:
-        raise PreconditionError("corollary_mod4_check requires even order")
-    if not is_williamson(q):
-        raise PreconditionError("corollary_mod4_check requires a Williamson quadruple")
+    _require_williamson(q, "corollary_mod4_check", "even")
     return mod4_filter(q)
 
 

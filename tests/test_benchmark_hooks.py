@@ -63,3 +63,31 @@ def test_every_search_argv_parses(load):
         for op in workloads.search_ops(seed):
             args = wkit.cli.build_parser().parse_args(list(op.cmd))
             assert args.func is wkit.cli.cmd_search
+
+
+def test_commands_look_traced_names_up_when_they_run(monkeypatch, tmp_path):
+    # The traced run replaces these wkit.cli attributes after import, so a
+    # command that captured them earlier (in a table built at import, say)
+    # would skip the wrappers and its spans would read 0.
+    names = ("parse_quadruple", "parse_sequence", "hall_identity_check", "corollary_mod4_check")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(wkit.cli, name, counting(name, getattr(wkit.cli, name)))
+    line = "++;++;+-;+-"  # an even-order Williamson quadruple
+    quad_in = tmp_path / "quad.txt"
+    quad_in.write_text(line + "\n")
+    seq_in = tmp_path / "seq.txt"
+    seq_in.write_text(line.split(";")[0] + "\n")
+    out = str(tmp_path / "out.txt")
+    assert wkit.cli.main(["verify", "--in", str(quad_in), "--out", out]) == 0
+    assert wkit.cli.main(["check", "williamson", "--in", str(quad_in), "--out", out]) == 0
+    assert wkit.cli.main(["check", "symmetric", "--in", str(seq_in), "--out", out]) == 0
+    assert all(calls.values()), calls

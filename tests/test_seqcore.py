@@ -302,6 +302,14 @@ def test_parse_sequence_errors():
         parse_sequence("")
     with pytest.raises(ParseError):
         parse_sequence("   ")
+    # Columns count from the start of the untrimmed text.
+    for text, message in (
+        ("   ", "column 4: empty sequence"),
+        ("\t+-x", "column 4: unexpected character 'x'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_sequence(text)
+        assert str(exc.value) == message, text
 
 
 def test_parse_quadruple_errors():
@@ -316,6 +324,17 @@ def test_parse_quadruple_errors():
         parse_quadruple("+;+;;+")
     with pytest.raises(ParseError):
         parse_quadruple("")
+    for text, message in (
+        ("  +;+;x;+", "column 7: unexpected character 'x'"),
+        ("  +;+;+  ", "column 7: expected 4 ';'-separated sequences, got 3"),
+        ("+;+;+;+;", "column 8: expected 4 ';'-separated sequences, got 5"),
+        ("+;;+;+", "column 3: empty sequence in quadruple"),
+        (" ;+;+;+", "column 2: empty sequence in quadruple"),
+        ("   ", "column 4: empty quadruple"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_quadruple(text)
+        assert str(exc.value) == message, text
 
 
 def test_parse_quadruple_structural_errors_are_not_parse_errors():
