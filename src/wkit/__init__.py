@@ -13,7 +13,6 @@ from .groupring import (
 from .hadamard import is_hadamard, matrix_to_text, williamson_array
 from .search import (
     ORDER_CAP,
-    SearchConfig,
     SearchReport,
     canonicalize,
     enumerate_symmetric,

@@ -19,15 +19,13 @@ one line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .groupring import even_coefficient_parity_check, hall_identity_check, mod2_square_check
 from .hadamard import is_hadamard, matrix_to_text, williamson_array
-from .search import ORDER_CAP, SearchConfig, format_results, search
+from .search import format_results, search
 from .seqcore import (
-    MAX_ORDER,
     ParseError,
     is_symmetric,
     is_williamson,
@@ -71,19 +69,6 @@ def _write_text(path: str | None, text: str) -> None:
     except OSError as exc:
         target = "stdout" if path is None else path
         raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
-
-
-def _order_cap() -> int:
-    raw = os.environ.get("WKIT_MAX_N")
-    if raw is None:
-        return ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"invalid WKIT_MAX_N value {raw!r}")
-    if not 1 <= cap <= MAX_ORDER:
-        raise ValueError(f"WKIT_MAX_N {cap} outside 1..{MAX_ORDER}")
-    return cap
 
 
 def _each_line(args: argparse.Namespace, parse, verdict, error_label: str | None = None) -> int:
@@ -146,7 +131,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     try:
-        quads, report = search(SearchConfig(args.n, args.canonical), order_cap=_order_cap())
+        quads, report = search(args.n, args.canonical)
     except ValueError as exc:
         print(f"wkit search: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -31,10 +31,14 @@ order n:
               min(i, count-1-i) of its slots, and np.unique of those rows
               gives the canonical representatives in text order.
 
-`search` returns the rows as a `SearchResults`: a read-only sequence over
-the table and the rows that builds a `WilliamsonQuadruple` only when an
-item is accessed.  `format_results` writes each line from per-sequence
-texts computed once.
+`search(n, canonical_only=False)` is the one entry point.  It returns the
+rows as a `SearchResults`: a read-only sequence over the table and the
+rows that builds a `WilliamsonQuadruple` only when an item is accessed.
+`format_results` writes each line from per-sequence texts computed once.
+Before any work it refuses an order outside 1..`order_cap()`: the
+environment variable WKIT_MAX_N if set, checked against 1..KEY_MAX_N, and
+ORDER_CAP otherwise.  `wkit search` calls `search`, so the command line
+and the library refuse the same orders with the same message.
 
 Two necessary conditions on a full candidate, the row-sum test and then
 the product test, are not applied during the join: every Williamson
@@ -73,10 +77,11 @@ the product test leaves.  The results format keeps a fixed
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,38 +95,48 @@ from .seqcore import (
 )
 from .theorems import product_condition
 
-# Exhaustive-mode order cap.  The join sorts count^2 = 4^(n//2 + 1) pair
-# keys, so each two-step rise in n costs about 4x; n = 16 takes a fraction
-# of a second.  The CLI can override it through WKIT_MAX_N.
-ORDER_CAP = 16
+# Default order cap.  The join sorts count^2 = 4^(n//2 + 1) pair keys, so
+# each two-step rise in n costs about 4x; n = 20 takes a few seconds
+# (BENCH_search.json).  WKIT_MAX_N overrides it, see `order_cap`.
+ORDER_CAP = 20
 
 # Largest order whose packed pair keys fit int64: (n+1)^(n//2) <= 2^63.
 KEY_MAX_N = 27
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int
-    canonical_only: bool = False
+def order_cap() -> int:
+    """The largest order `search` accepts: WKIT_MAX_N if set, else ORDER_CAP.
+
+    Raises ValueError if WKIT_MAX_N is not an integer in 1..KEY_MAX_N.
+    """
+    raw = os.environ.get("WKIT_MAX_N")
+    if raw is None:
+        return ORDER_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"invalid WKIT_MAX_N value {raw!r}") from None
+    if not 1 <= cap <= KEY_MAX_N:
+        raise ValueError(f"WKIT_MAX_N {cap} outside 1..{KEY_MAX_N}")
+    return cap
 
 
 @dataclass
 class SearchReport:
     """Counts and timing of one search.
 
-    Accounting identity: candidates_examined plus the sum of
-    candidates_pruned_by_filter equals count^4, the number of quadruples of
-    symmetric sequences of order n.  A candidate is pruned by the first
-    test it fails, rowsum then product, and examined otherwise; the module
+    Accounting identity: candidates_examined + pruned_rowsum +
+    pruned_product equals count^4, the number of quadruples of symmetric
+    sequences of order n.  A candidate is pruned by the first test it
+    fails, rowsum then product, and examined otherwise; the module
     docstring gives the squares-sum formula that counts them.
     """
 
     raw_count: int = 0
     canonical_count: int = 0
     candidates_examined: int = 0
-    candidates_pruned_by_filter: dict[str, int] = field(
-        default_factory=lambda: {"rowsum": 0, "product": 0}
-    )
+    pruned_rowsum: int = 0
+    pruned_product: int = 0
     elapsed: float = 0.0
 
 
@@ -272,21 +287,17 @@ def _check_rows(pafs: np.ndarray, rows: np.ndarray) -> None:
             )
 
 
-def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[SearchResults, SearchReport]:
-    """Find every Williamson quadruple of order cfg.n.
+def search(n: int, canonical_only: bool = False) -> tuple[SearchResults, SearchReport]:
+    """Find every Williamson quadruple of order n.
 
     Returns the raw ordered quadruples (or canonical representatives if
-    cfg.canonical_only), sorted by text form, as a `SearchResults`, plus a
-    report.
+    canonical_only), sorted by text form, as a `SearchResults`, plus a
+    report.  Raises ValueError, before any work, if n is outside
+    1..order_cap().
     """
-    n = cfg.n
-    cap = ORDER_CAP if order_cap is None else order_cap
+    cap = order_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"order {n} outside supported range 1..{cap}")
-    if n > KEY_MAX_N:
-        raise ValueError(
-            f"order {n} above {KEY_MAX_N}, the largest order whose packed join keys fit int64"
-        )
 
     start = time.perf_counter()
     table = tuple(enumerate_symmetric(n))
@@ -302,9 +313,10 @@ def search(cfg: SearchConfig, order_cap: int | None = None) -> tuple[SearchResul
         raw_count=len(rows),
         canonical_count=len(canonical),
         candidates_examined=examined,
-        candidates_pruned_by_filter={"rowsum": pruned_rowsum, "product": pruned_product},
+        pruned_rowsum=pruned_rowsum,
+        pruned_product=pruned_product,
     )
-    kept = canonical if cfg.canonical_only else rows
+    kept = canonical if canonical_only else rows
     kept.setflags(write=False)
     report.elapsed = time.perf_counter() - start
     return SearchResults(table, kept), report
@@ -324,7 +336,6 @@ def canonicalize(q: WilliamsonQuadruple) -> WilliamsonQuadruple:
 
 def format_results(results: SearchResults, report: SearchReport) -> str:
     """Results file: one quadruple text per line, then a '#' report block."""
-    pruned = report.candidates_pruned_by_filter
     texts = [sequence_to_text(s) for s in results.table]
     slots = [[texts[i] for i in column] for column in results.rows.T.tolist()]
     lines = list(map(";".join, zip(*slots)))
@@ -332,8 +343,8 @@ def format_results(results: SearchResults, report: SearchReport) -> str:
         f"# raw_count {report.raw_count}",
         f"# canonical_count {report.canonical_count}",
         f"# candidates_examined {report.candidates_examined}",
-        f"# pruned_rowsum {pruned['rowsum']}",
-        f"# pruned_product {pruned['product']}",
+        f"# pruned_rowsum {report.pruned_rowsum}",
+        f"# pruned_product {report.pruned_product}",
         "# pruned_mod4 0",  # no mod4 stage; perfbench/run.py reads this line
         f"# elapsed_seconds {report.elapsed:.6f}",
     ]

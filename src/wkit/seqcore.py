@@ -51,7 +51,7 @@ class PmOneSequence:
             raise ValueError("sequence must have at least one entry")
         if n > MAX_ORDER:
             raise ValueError(f"sequence length {n} exceeds cap {MAX_ORDER}")
-        if any(v not in (1, -1) for v in entries):
+        if entries.count(1) + entries.count(-1) != n:
             raise ValueError("entries must be +1 or -1")
 
     @property
@@ -186,16 +186,17 @@ def matrix_williamson_check(q: WilliamsonQuadruple) -> bool:
     """Oracle form of the Williamson condition by explicit matrix arithmetic.
 
     Expands each sequence to its circulant, squares it by real matrix
-    multiplication, sums the four squares, and compares entrywise with
-    4n times the identity.  Exact integer arithmetic throughout.
+    multiplication, sums the four squares, subtracts 4n from the diagonal
+    and checks that every entry is then 0.  Exact integer arithmetic
+    throughout.
     """
-    acc = (
-        _circulant_square(q.a.entries)
-        + _circulant_square(q.b.entries)
-        + _circulant_square(q.c.entries)
-        + _circulant_square(q.d.entries)
-    )
-    return np.array_equal(acc, 4 * q.n * np.eye(q.n, dtype=np.int64))
+    n = q.n
+    # A new array: the cached squares are read-only and stay unchanged.
+    acc = _circulant_square(q.a.entries) + _circulant_square(q.b.entries)
+    acc += _circulant_square(q.c.entries)
+    acc += _circulant_square(q.d.entries)
+    acc.flat[:: n + 1] -= 4 * n
+    return not acc.any()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from wkit.search import SearchConfig, search
+from wkit.search import search
 from wkit.seqcore import PmOneSequence, WilliamsonQuadruple
 
 
@@ -56,14 +56,23 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _no_order_cap_override():
+    """Every test starts without WKIT_MAX_N, which `search` reads; a test
+    that sets it uses its own monkeypatch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("WKIT_MAX_N", raising=False)
+        yield
+
+
 @pytest.fixture(scope="session")
 def found_by_order():
-    """Exhaustive search results for orders 1..8 with the default config.
+    """Exhaustive search results for orders 1..8.
 
     Maps n to (quadruples, report).  Session-scoped: several test modules
     and the acceptance suite all consume the same sets.
     """
     results = {}
     for n in range(1, 9):
-        results[n] = search(SearchConfig(n=n))
+        results[n] = search(n)
     return results

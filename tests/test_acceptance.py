@@ -22,7 +22,7 @@ from wkit.groupring import (
 )
 from wkit.cli import main
 from wkit.hadamard import is_hadamard, williamson_array
-from wkit.search import SearchConfig, search
+from wkit.search import search
 from wkit.seqcore import (
     PmOneSequence,
     WilliamsonQuadruple,
@@ -54,8 +54,8 @@ def _brute_force_count(n):
 
 def test_acceptance_1_exhaustive_counts():
     t0 = time.perf_counter()
-    _, r1 = search(SearchConfig(n=1))
-    _, r2 = search(SearchConfig(n=2))
+    _, r1 = search(1)
+    _, r2 = search(2)
     b1 = _brute_force_count(1)
     b2 = _brute_force_count(2)
     elapsed = time.perf_counter() - t0
@@ -73,7 +73,7 @@ def test_acceptance_2_odd_product_theorem():
     checked = 0
     violations = 0
     for n in (1, 3, 5, 7):
-        quads, _ = search(SearchConfig(n=n))
+        quads, _ = search(n)
         for q in quads:
             checked += 1
             if not product_theorem_odd_check(q):
@@ -93,7 +93,7 @@ def test_acceptance_3_even_product_theorem_and_parity():
     checked = 0
     violations = 0
     for n in (2, 4, 6, 8):
-        quads, _ = search(SearchConfig(n=n))
+        quads, _ = search(n)
         for q in quads:
             checked += 1
             if not product_theorem_even_check(q):

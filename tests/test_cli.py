@@ -10,13 +10,8 @@ import pytest
 
 import wkit
 from wkit.cli import OK, USAGE_ERROR, VERIFY_FAILED, main
-from wkit.search import ORDER_CAP
+from wkit.search import KEY_MAX_N, ORDER_CAP
 from wkit.seqcore import MAX_ORDER
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("WKIT_MAX_N", raising=False)
 
 
 @pytest.fixture()
@@ -168,17 +163,6 @@ def test_search_env_cap(run_cli, monkeypatch):
     assert len(_split_results(out)[0]) == 64
 
 
-def test_search_env_cap_above_the_join_key_width(run_cli, monkeypatch):
-    # WKIT_MAX_N accepts 28, but the join's packed keys overflow int64 there:
-    # a one-line refusal, before any work.
-    monkeypatch.setenv("WKIT_MAX_N", "28")
-    rc, out, err = run_cli(["search", "--n", "28"])
-    assert rc == USAGE_ERROR
-    assert out == ""
-    assert err.startswith("wkit search: order 28 ")
-    assert err.count("\n") == 1
-
-
 def test_search_env_cap_junk(run_cli, monkeypatch):
     monkeypatch.setenv("WKIT_MAX_N", "junk")
     rc, _, err = run_cli(["search", "--n", "2"])
@@ -186,13 +170,14 @@ def test_search_env_cap_junk(run_cli, monkeypatch):
     assert "WKIT_MAX_N" in err
 
 
-@pytest.mark.parametrize("value", ["-3", "0", str(MAX_ORDER + 1)])
+# 28 is the first order whose packed join keys overflow int64.
+@pytest.mark.parametrize("value", ["-3", "0", "28", str(MAX_ORDER + 1)])
 def test_search_env_cap_out_of_range(run_cli, monkeypatch, value):
     monkeypatch.setenv("WKIT_MAX_N", value)
     rc, out, err = run_cli(["search", "--n", "2"])
     assert rc == USAGE_ERROR
     assert out == ""
-    assert err == f"wkit search: WKIT_MAX_N {value} outside 1..{MAX_ORDER}\n"
+    assert err == f"wkit search: WKIT_MAX_N {value} outside 1..{KEY_MAX_N}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,16 @@ from conftest import make_rng, random_quadruple, symmetric_by_definition, symmet
 from wkit.search import (
     KEY_MAX_N,
     ORDER_CAP,
-    SearchConfig,
     _check_rows,
     _paf_table,
     _product_signatures,
     canonicalize,
     enumerate_symmetric,
     format_results,
+    order_cap,
     search,
 )
 from wkit.seqcore import (
-    MAX_ORDER,
     PmOneSequence,
     WilliamsonQuadruple,
     is_williamson,
@@ -128,8 +127,8 @@ def test_rowsum_prefilter_matches_oracle(n):
         per_row_sum[sa] * per_row_sum[sb] * per_row_sum[sc] * per_row_sum[sd]
         for sa, sb, sc, sd in _admissible_rowsums_oracle(n)
     )
-    _, report = search(SearchConfig(n=n))
-    assert report.candidates_pruned_by_filter["rowsum"] == _candidate_space(n) - admitted
+    _, report = search(n)
+    assert report.pruned_rowsum == _candidate_space(n) - admitted
 
 
 def test_found_rowsums_are_admissible(found_by_order):
@@ -151,21 +150,18 @@ def test_raw_counts(found_by_order):
 
 @pytest.mark.parametrize("n", sorted(LARGE_COUNTS))
 def test_large_order_counts(n):
-    quads, report = search(SearchConfig(n=n))
+    quads, report = search(n)
     counts, (examined, pruned_rowsum, pruned_product) = LARGE_COUNTS[n]
     assert (report.raw_count, report.canonical_count) == counts
     assert len(quads) == report.raw_count
     assert report.candidates_examined == examined
-    assert report.candidates_pruned_by_filter == {
-        "rowsum": pruned_rowsum,
-        "product": pruned_product,
-    }
+    assert (report.pruned_rowsum, report.pruned_product) == (pruned_rowsum, pruned_product)
     assert examined + pruned_rowsum + pruned_product == _candidate_space(n)
 
 
 def test_contract_counts_fresh_runs():
-    _, r1 = search(SearchConfig(n=1))
-    _, r2 = search(SearchConfig(n=2))
+    _, r1 = search(1)
+    _, r2 = search(2)
     assert r1.raw_count == 16
     assert r2.raw_count == 96
 
@@ -179,7 +175,7 @@ def test_completeness_vs_naive_matrix_scan(n):
         for a, b, c, d in itertools.product(seqs, repeat=4)
         if matrix_williamson_check(WilliamsonQuadruple(a, b, c, d))
     }
-    quads, _ = search(SearchConfig(n=n))
+    quads, _ = search(n)
     assert {quadruple_to_text(q) for q in quads} == expected
 
 
@@ -201,7 +197,7 @@ def test_result_lines_match_the_benchmark_oracle(n, oracle):
         (False, sorted(oracle.quad_text(q) for q in quads)),
         (True, sorted({oracle.canonical_text(q) for q in quads})),
     ):
-        text = format_results(*search(SearchConfig(n=n, canonical_only=canonical_only)))
+        text = format_results(*search(n, canonical_only=canonical_only))
         assert [line for line in text.splitlines() if not line.startswith("#")] == want
 
 
@@ -225,9 +221,7 @@ def test_results_are_sorted_and_unique(found_by_order):
 
 def test_examined_plus_pruned_covers_the_space(found_by_order):
     for n, (_, report) in found_by_order.items():
-        total = report.candidates_examined + sum(
-            report.candidates_pruned_by_filter.values()
-        )
+        total = report.candidates_examined + report.pruned_rowsum + report.pruned_product
         assert total == _candidate_space(n)
 
 
@@ -273,12 +267,10 @@ def _direct_scan(n, with_flags):
 def test_counters_match_direct_scan(n):
     # A candidate is pruned by the first test it fails, rowsum then product.
     _, flags = _direct_scan(n, with_flags=True)
-    _, report = search(SearchConfig(n=n))
+    _, report = search(n)
     assert report.candidates_examined == flags.get((True, True), 0)
-    assert report.candidates_pruned_by_filter == {
-        "rowsum": flags.get((False, True), 0) + flags.get((False, False), 0),
-        "product": flags.get((True, False), 0),
-    }
+    assert report.pruned_rowsum == flags.get((False, True), 0) + flags.get((False, False), 0)
+    assert report.pruned_product == flags.get((True, False), 0)
 
 
 def test_results_match_direct_scan(found_by_order):
@@ -333,7 +325,7 @@ def test_even_mod4_prunes_what_product_would(n):
     for s, sig in zip(seqs, sigs):
         quad = WilliamsonQuadruple(s, ones, ones, ones)
         assert mod4_filter(quad) == (n % 2 == 1 or sig == target)
-    assert "# pruned_mod4 0" in format_results(*search(SearchConfig(n=n))).splitlines()
+    assert "# pruned_mod4 0" in format_results(*search(n)).splitlines()
 
 
 def test_report_counts_consistent(found_by_order):
@@ -390,7 +382,7 @@ def test_canonical_only_output_matches_orbit_reduction(found_by_order):
     for n in range(1, 7):
         raw, _ = found_by_order[n]
         expected = sorted({quadruple_to_text(canonicalize(q)) for q in raw})
-        quads, report = search(SearchConfig(n=n, canonical_only=True))
+        quads, report = search(n, canonical_only=True)
         assert [quadruple_to_text(q) for q in quads] == expected
         assert report.canonical_count == len(expected)
         assert report.raw_count == len(raw)
@@ -400,27 +392,36 @@ def test_canonical_only_output_matches_orbit_reduction(found_by_order):
 # Configuration errors
 
 
-def test_search_rejects_bad_orders():
+def test_search_rejects_bad_orders(monkeypatch):
+    assert ORDER_CAP <= KEY_MAX_N
     with pytest.raises(ValueError):
-        search(SearchConfig(n=0))
-    with pytest.raises(ValueError):
-        search(SearchConfig(n=ORDER_CAP + 1))
-    with pytest.raises(ValueError):
-        search(SearchConfig(n=3), order_cap=2)
+        search(0)
+    with pytest.raises(ValueError, match=f"outside supported range 1..{ORDER_CAP}"):
+        search(ORDER_CAP + 1)
+    # The library reads WKIT_MAX_N itself, as the command line does.
+    monkeypatch.setenv("WKIT_MAX_N", "2")
+    assert order_cap() == 2
+    with pytest.raises(ValueError, match=r"order 3 outside supported range 1\.\.2"):
+        search(3)
+    monkeypatch.setenv("WKIT_MAX_N", "junk")
+    with pytest.raises(ValueError, match="invalid WKIT_MAX_N value 'junk'"):
+        search(1)
 
 
 def test_search_refuses_orders_whose_keys_overflow(monkeypatch):
     # KEY_MAX_N is the last order whose largest packed key, (n+1)^(n//2) - 1,
-    # fits int64; larger orders are refused before anything is enumerated.
+    # fits int64, so it bounds WKIT_MAX_N: a larger cap is refused before
+    # anything is enumerated.
     assert (KEY_MAX_N + 1) ** (KEY_MAX_N // 2) <= 2**63
     assert (KEY_MAX_N + 2) ** ((KEY_MAX_N + 1) // 2) > 2**63
 
     def enumerate_nothing(n):
-        raise AssertionError("enumerated before the width check")
+        raise AssertionError("enumerated before the order check")
 
     monkeypatch.setattr(wkit.search, "enumerate_symmetric", enumerate_nothing)
-    with pytest.raises(ValueError, match=f"order {KEY_MAX_N + 1} "):
-        search(SearchConfig(n=KEY_MAX_N + 1), order_cap=MAX_ORDER)
+    monkeypatch.setenv("WKIT_MAX_N", str(KEY_MAX_N + 1))
+    with pytest.raises(ValueError, match=f"^WKIT_MAX_N {KEY_MAX_N + 1} outside 1..{KEY_MAX_N}$"):
+        search(KEY_MAX_N + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_search_refuses_orders_whose_keys_overflow(monkeypatch):
 def test_row_recheck_refuses_a_non_williamson_row(monkeypatch):
     seqs = [s.entries for s in enumerate_symmetric(6)]
     pafs = _paf_table(seqs)
-    quads, _ = search(SearchConfig(n=6))
+    quads, _ = search(6)
     _check_rows(pafs, quads.rows)
     # Row 0 is the all-ones sequence four times: PAF sum 24 at every shift.
     bad = np.vstack([quads.rows, [[0, 0, 0, 0]]])
@@ -439,7 +440,7 @@ def test_row_recheck_refuses_a_non_williamson_row(monkeypatch):
     # search() re-checks whatever the join hands back.
     monkeypatch.setattr(wkit.search, "_join", lambda pafs, n: bad)
     with pytest.raises(RuntimeError, match=r"index row \[0, 0, 0, 0\]"):
-        search(SearchConfig(n=6))
+        search(6)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,7 @@ def test_row_recheck_refuses_a_non_williamson_row(monkeypatch):
 
 
 def test_search_results_build_quadruples_on_access():
-    quads, report = search(SearchConfig(n=5))
+    quads, report = search(5)
     assert len(quads) == report.raw_count == 192
     assert not quads.rows.flags.writeable
     with pytest.raises(ValueError):
@@ -465,7 +466,7 @@ def test_search_results_build_quadruples_on_access():
 
 
 def test_format_results_layout():
-    quads, report = search(SearchConfig(n=2))
+    quads, report = search(2)
     text = format_results(quads, report)
     lines = text.splitlines()
     quad_lines = [line for line in lines if not line.startswith("#")]

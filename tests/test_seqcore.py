@@ -53,6 +53,9 @@ def test_sequence_rejects_bad_entries():
         PmOneSequence((1, 0))
     with pytest.raises(ValueError):
         PmOneSequence((1, 2, 1))
+    for entries in ((1, None), (1, "+"), (1, 0.5)):
+        with pytest.raises(ValueError, match=r"entries must be \+1 or -1"):
+            PmOneSequence(entries)
     with pytest.raises(ValueError):
         PmOneSequence(())
     with pytest.raises(ValueError):

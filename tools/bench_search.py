@@ -32,7 +32,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO / "BENCH_search.json"
-ORDERS = (10, 12, 14, 16, 18)
+ORDERS = (10, 12, 14, 16, 18, 20)
 REPEAT = 5
 
 
