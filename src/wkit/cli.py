@@ -57,7 +57,10 @@ def _read_lines(path: str | None) -> list[tuple[int, str]]:
         source = "stdin" if path is None else path
         reason = getattr(exc, "strerror", None) or exc
         raise CliError(f"cannot read {source}: {reason}") from exc
-    return [(k, line) for k, line in enumerate(data.splitlines(), 1) if line.strip()]
+    # Only "\n" ends a line: reading in text mode has already turned "\r\n"
+    # into it, and str.splitlines would also break at form feeds, U+2028
+    # and other characters that sit inside a line.
+    return [(k, line) for k, line in enumerate(data.split("\n"), 1) if line.strip()]
 
 
 def _write_text(path: str | None, text: str) -> None:

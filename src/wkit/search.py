@@ -9,7 +9,8 @@ order n:
 
   table     - the symmetric sequences in `enumerate_symmetric` order, which
               is their text order, so index order is text order; and their
-              PAFs at shifts 1..m as one (count, m) int64 array.
+              PAFs at shifts 1..m as one (count, m) int64 array, from one
+              call of the `seqcore.paf_rows` kernel on all of them.
   keys      - one int64 key per ordered pair (A, B).  Every PAF of a ±1
               sequence of length n is congruent to n mod 4, so a pair sum s
               lies in [-2n, 2n] with (s + 2n)/4 a digit in 0..n.  The key
@@ -88,7 +89,7 @@ import numpy as np
 from .seqcore import (
     PmOneSequence,
     WilliamsonQuadruple,
-    _paf_vector,
+    paf_rows,
     parse_quadruple,  # unused here; perfbench/tracing.py wraps this binding
     quadruple_to_text,  # unused here; perfbench/tracing.py wraps this binding
     sequence_to_text,
@@ -223,12 +224,6 @@ def _counters(seqs: list[tuple[int, ...]]) -> tuple[int, int, int]:
     return kept, len(seqs) ** 4 - admitted, admitted - kept
 
 
-def _paf_table(seqs: list[tuple[int, ...]]) -> np.ndarray:
-    """PAFs at shifts 1..n//2 of each sequence, one int64 row per sequence."""
-    m = len(seqs[0]) // 2
-    return np.array([_paf_vector(s)[1 : m + 1] for s in seqs], dtype=np.int64)
-
-
 def _pack(rows: np.ndarray, count: int) -> np.ndarray:
     """Each index row (a, b, c, d) as the base-count integer abcd."""
     packed = np.zeros(len(rows), dtype=np.int64)
@@ -302,7 +297,7 @@ def search(n: int, canonical_only: bool = False) -> tuple[SearchResults, SearchR
     start = time.perf_counter()
     table = tuple(enumerate_symmetric(n))
     seqs = [s.entries for s in table]
-    pafs = _paf_table(seqs)
+    pafs = paf_rows(np.array(seqs))[:, 1:]
     rows = _join(pafs, n)
     _check_rows(pafs, rows)
     count = len(table)

@@ -8,6 +8,13 @@ a periodic-autocorrelation sum test (`is_williamson`, the fast path) and
 an explicit matrix computation (`matrix_williamson_check`, the oracle).
 The two are tested against each other rather than assumed equivalent.
 
+Periodic autocorrelations (PAFs) come from one kernel, `paf_rows`: for a
+(k, n) array of ±1 rows it gathers each row's shifted copies through a
+per-order index table and multiplies them by the row, one exact int64
+matmul for shifts 0..n//2.  `is_williamson` reads the PAFs one sequence
+at a time through the `_paf_vector` cache, and the search calls the
+kernel once on its whole table of sequences.
+
 Text form used across the package: a sequence is a string over '+' and
 '-' (e.g. "+--" for [1, -1, -1]); a quadruple is four such strings joined
 by ';'.
@@ -127,14 +134,37 @@ def is_symmetric(s: PmOneSequence) -> bool:
     return s.entries[1:] == s.entries[:0:-1]
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=MAX_ORDER)
+def _shift_index(n: int) -> np.ndarray:
+    # Row k holds (i + k) mod n for i in 0..n-1, k in 0..n//2.
+    i = np.arange(n)
+    index = (i + i[: n // 2 + 1, None]) % n
+    index.setflags(write=False)
+    return index
+
+
+def paf_rows(rows: np.ndarray) -> np.ndarray:
+    """PAFs at shifts 0..n//2 of each row of a (k, n) ±1 array.
+
+    Returns a (k, n//2 + 1) int64 array: entry [r, j] is
+    sum(rows[r, i] * rows[r, (i + j) % n] for i in range(n)), computed as
+    one integer matmul of each row's shifted copies against the row.
+    Exact: no sum exceeds n <= MAX_ORDER in size.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    shifted = rows.take(_shift_index(rows.shape[1]), axis=1)
+    return np.matmul(shifted, rows[:, :, None])[:, :, 0]
+
+
+# 4,096 entries hold every symmetric sequence of one order up to the
+# search's default cap of 20 (at most 2,048), so piping search output into
+# `wkit verify` computes each PAF vector once.
+@lru_cache(maxsize=1 << 12)
 def _paf_vector(entries: tuple[int, ...]) -> tuple[int, ...]:
-    # Every shift computed from the definition; callers index into this.
-    n = len(entries)
-    return tuple(
-        sum(entries[i] * entries[(i + k) % n] for i in range(n))
-        for k in range(n)
-    )
+    # Every shift 0..n-1; callers index into this.  The kernel gives shifts
+    # 0..n//2, and paf(s, k) = paf(s, n - k) gives the rest.
+    half = paf_rows(np.array([entries]))[0].tolist()
+    return tuple(half + half[(len(entries) - 1) // 2 : 0 : -1])
 
 
 def paf(s: PmOneSequence, shift: int) -> int:
@@ -153,8 +183,10 @@ def row_sum(s: PmOneSequence) -> int:
 def is_williamson(q: WilliamsonQuadruple) -> bool:
     """True iff the PAFs of the four sequences sum to zero at every nonzero shift.
 
-    Only shifts 1..n//2 are evaluated; paf(s, k) = paf(s, n-k) makes the
-    rest redundant.  The shift-0 value is 4n automatically for ±1 entries.
+    Each sequence's PAF vector comes from the `paf_rows` kernel, through a
+    cache keyed by its entries.  Only shifts 1..n//2 are compared;
+    paf(s, k) = paf(s, n-k) makes the rest redundant.  The shift-0 value
+    is 4n automatically for ±1 entries.
     """
     n = q.n
     va = _paf_vector(q.a.entries)

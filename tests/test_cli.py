@@ -56,6 +56,22 @@ def test_verify_multiple_lines_and_blanks(run_cli):
     assert lines[1].startswith("line 3: williamson=FAIL")
 
 
+def test_line_numbers_count_newlines_only(run_cli, tmp_path):
+    # A form feed or U+2028 inside a line does not end it: the bad line
+    # is reported as line 3 from stdin and from a file, and the good lines
+    # before it keep numbers 1 and 2.
+    text = "++;++;+-;+-\x0c\n+;+;+;+\u2028\nxx;++;+-;+-\n"
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    for argv, stdin_text in ((["verify"], text), (["verify", "--in", str(path)], "")):
+        rc, out, err = run_cli(argv, stdin_text)
+        assert rc == USAGE_ERROR
+        assert err == "line 3, column 1: unexpected character 'x'\n"
+    rc, out, _ = run_cli(["check", "williamson"], text.replace("xx", "++"))
+    assert rc == OK
+    assert out == "line 1: PASS\nline 2: PASS\nline 3: PASS\n"
+
+
 def test_verify_parse_error(run_cli):
     rc, out, err = run_cli(["verify"], "++x;++;+-;+-\n")
     assert rc == USAGE_ERROR

@@ -15,7 +15,6 @@ from wkit.search import (
     KEY_MAX_N,
     ORDER_CAP,
     _check_rows,
-    _paf_table,
     _product_signatures,
     canonicalize,
     enumerate_symmetric,
@@ -26,8 +25,10 @@ from wkit.search import (
 from wkit.seqcore import (
     PmOneSequence,
     WilliamsonQuadruple,
+    _paf_vector,
     is_williamson,
     matrix_williamson_check,
+    paf_rows,
     quadruple_to_text,
     row_sum,
     sequence_to_text,
@@ -428,9 +429,25 @@ def test_search_refuses_orders_whose_keys_overflow(monkeypatch):
 # Exact re-check of the join's matches
 
 
+def test_search_pafs_match_the_per_sequence_cache(monkeypatch):
+    # The PAF table search() hands to the join, computed by one kernel call
+    # on all sequences, equals each sequence's cached _paf_vector at shifts
+    # 1..n//2, row for row; and the search leaves that cache empty.
+    join = wkit.search._join
+    seen = []
+    monkeypatch.setattr(wkit.search, "_join", lambda pafs, n: seen.append(pafs) or join(pafs, n))
+    for n in range(1, 17):
+        _paf_vector.cache_clear()
+        search(n)
+        assert _paf_vector.cache_info().currsize == 0
+        want = [_paf_vector(s.entries)[1 : n // 2 + 1] for s in enumerate_symmetric(n)]
+        assert seen[-1].dtype == np.int64
+        assert seen[-1].tolist() == [list(row) for row in want]
+
+
 def test_row_recheck_refuses_a_non_williamson_row(monkeypatch):
     seqs = [s.entries for s in enumerate_symmetric(6)]
-    pafs = _paf_table(seqs)
+    pafs = paf_rows(np.array(seqs))[:, 1:]
     quads, _ = search(6)
     _check_rows(pafs, quads.rows)
     # Row 0 is the all-ones sequence four times: PAF sum 24 at every shift.

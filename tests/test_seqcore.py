@@ -13,17 +13,20 @@ from conftest import (
     symmetric_by_definition,
     symmetric_tuples,
 )
+from wkit.search import search
 from wkit.seqcore import (
     MAX_ORDER,
     ParseError,
     PmOneSequence,
     SquareMatrix,
     WilliamsonQuadruple,
+    _paf_vector,
     circulant,
     is_symmetric,
     is_williamson,
     matrix_williamson_check,
     paf,
+    paf_rows,
     parse_quadruple,
     parse_sequence,
     quadruple_to_text,
@@ -174,6 +177,23 @@ def test_paf_matches_direct_sum():
         assert paf(s, k) == sum(e[i] * e[(i + k) % n] for i in range(n))
 
 
+def test_paf_kernel_matches_definition_at_every_order():
+    # Every order up to MAX_ORDER, odd and even, n = 1 and 2 included: the
+    # kernel's shifts 0..n//2 and the cached full vector's shifts 0..n-1
+    # (the mirrored half) against the defining sum.
+    rng = np.random.default_rng(20261018)
+    for n in range(1, MAX_ORDER + 1):
+        rows = rng.choice((1, -1), size=(5, n))
+        rows[0] = 1
+        rows[1] = (-1) ** np.arange(n)
+        got = paf_rows(rows)
+        assert got.dtype == np.int64 and got.shape == (5, n // 2 + 1)
+        for row, half in zip(rows.tolist(), got.tolist()):
+            want = [sum(row[i] * row[(i + k) % n] for i in range(n)) for k in range(n)]
+            assert half == want[: n // 2 + 1]
+            assert _paf_vector(tuple(row)) == tuple(want)
+
+
 def test_row_sum_examples():
     assert row_sum(seq(1, 1, 1)) == 3
     assert row_sum(seq(1, -1, -1)) == -1
@@ -216,6 +236,41 @@ def test_oracle_equivalence_random():
         n = rng.randint(1, 16)
         q = random_quadruple(rng, n)
         assert is_williamson(q) == matrix_williamson_check(q)
+
+
+def _doubled(q):
+    """A Williamson quadruple of order 2n from one of odd order n.
+
+    C_2n is C_2 x C_n for odd n, position j going to (j mod 2, j mod n);
+    with u the generator of C_2, A+uB, A-uB, C+uD and C-uD have squares
+    summing to 2(A^2+B^2+C^2+D^2) = 8n.
+    """
+    n = q.n
+    a, b, c, d = (s.entries for s in q.sequences())
+
+    def join(even, odd, sign):
+        return seq(*(even[j % n] if j % 2 == 0 else sign * odd[j % n] for j in range(2 * n)))
+
+    return WilliamsonQuadruple(join(a, b, 1), join(a, b, -1), join(c, d, 1), join(c, d, -1))
+
+
+def test_oracle_equivalence_at_large_orders():
+    # Orders 17..64, beyond the random test above: random quadruples
+    # (almost all fail), doubled Williamson quadruples of orders 18..30,
+    # and each of those with one symmetric pair of entries flipped.
+    rng = make_rng(20261018)
+    quads = [random_quadruple(rng, rng.randint(17, MAX_ORDER)) for _ in range(150)]
+    for odd in (9, 11, 13, 15):
+        found, _ = search(odd)
+        for i in rng.sample(range(len(found)), 10):
+            q = _doubled(found[i])
+            entries = list(q.a.entries)
+            k = rng.randrange(1, q.n)
+            entries[k] = entries[q.n - k] = -entries[k]
+            quads += [q, WilliamsonQuadruple(seq(*entries), q.b, q.c, q.d)]
+    verdicts = [is_williamson(q) for q in quads]
+    assert verdicts == [matrix_williamson_check(q) for q in quads]
+    assert sum(verdicts) >= 40
 
 
 def test_paf_total_over_all_shifts_is_row_sum_squared():

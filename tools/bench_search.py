@@ -13,12 +13,15 @@ Per order the entry keeps every run's wall time, their median and the
 largest peak RSS, plus the `# raw_count` line of the output as a
 correctness anchor.  The entry is appended to BENCH_search.json at the
 repository root, so each change adds its own row set next to its
-parent's.
+parent's.  It names the checkout's HEAD commit and a sha256 over the
+measured src/wkit/*.py, so an entry taken before its change is committed
+still identifies the code it measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,11 +57,39 @@ def run_once(root: Path, n: int, out: Path) -> tuple[float, float, int]:
 
 
 def git_commit(root: Path) -> str | None:
-    """Short commit of the checkout, with '-dirty' for uncommitted edits."""
+    """Short HEAD commit of the checkout; uncommitted edits show in src_sha256."""
     done = subprocess.run(
-        ["git", "-C", str(root), "describe", "--always", "--dirty"], capture_output=True, text=True
+        ["git", "-C", str(root), "rev-parse", "--short", "HEAD"], capture_output=True, text=True
     )
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def src_sha256(root: Path) -> str:
+    """sha256 over the checkout's src/wkit/*.py: each file's name, size and
+    bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "wkit").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def append_entry(bench_file: Path, label: str, root: Path, rows: list[dict]) -> None:
+    """Append one labelled row set, with what identifies the measured code
+    and machine, to the JSON list in bench_file."""
+    entry = {
+        "label": label,
+        "commit": git_commit(root),
+        "src_sha256": src_sha256(root),
+        "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "rows": rows,
+    }
+    entries = json.loads(bench_file.read_text()) if bench_file.exists() else []
+    entries.append(entry)
+    bench_file.write_text(json.dumps(entries, indent=1) + "\n")
 
 
 def measure(root: Path) -> list[dict]:
@@ -86,17 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path, default=REPO, help="checkout whose src/ is measured")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    entry = {
-        "label": args.label,
-        "commit": git_commit(root),
-        "date": datetime.now(timezone.utc).strftime("%Y-%m-%d"),
-        "python": platform.python_version(),
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "rows": measure(root),
-    }
-    entries = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else []
-    entries.append(entry)
-    BENCH_FILE.write_text(json.dumps(entries, indent=1) + "\n")
+    append_entry(BENCH_FILE, args.label, root, measure(root))
     return 0
 
 
