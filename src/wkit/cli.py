@@ -136,8 +136,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     try:
         quads, report = search(args.n, args.canonical)
     except ValueError as exc:
-        print(f"wkit search: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise CliError(exc) from exc
     _write_text(args.output, format_results(quads, report))
     return OK
 

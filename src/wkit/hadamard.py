@@ -28,6 +28,7 @@ from .seqcore import (
     WilliamsonQuadruple,
     circulant,
     is_williamson,
+    rows_to_text,
 )
 
 
@@ -62,5 +63,4 @@ def is_hadamard(m: SquareMatrix) -> bool:
 def matrix_to_text(m: SquareMatrix) -> str:
     """Matrix text form: "order N" then one '+'/'-' row per line."""
     _require_pm_one(m, "matrix text form")
-    signs = np.where(m.array == 1, ord("+"), ord("-")).astype(np.uint8)
-    return "\n".join([f"order {m.order}", *(row.tobytes().decode() for row in signs)])
+    return "\n".join([f"order {m.order}", *rows_to_text(m.array)])

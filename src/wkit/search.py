@@ -7,10 +7,9 @@ integer arrays, so the work is count^2 pairs instead of count^4
 quadruples, where count = 2^(m+1) is the number of symmetric sequences of
 order n:
 
-  table     - the symmetric sequences in `enumerate_symmetric` order, which
-              is their text order, so index order is text order; and their
-              PAFs at shifts 1..m as one (count, m) int64 array, from one
-              call of the `seqcore.paf_rows` kernel on all of them.
+  table     - the symmetric sequences as one (count, n) ±1 int64 array,
+              `symmetric_table`, whose row order is text order; and their
+              PAFs at shifts 1..m, one `seqcore.paf_rows` call on it.
   keys      - one int64 key per ordered pair (A, B).  Every PAF of a ±1
               sequence of length n is congruent to n mod 4, so a pair sum s
               lies in [-2n, 2n] with (s + 2n)/4 a digit in 0..n.  The key
@@ -23,19 +22,19 @@ order n:
               is up to order KEY_MAX_N.
   join      - the keys are argsorted, and each pair's wanted key is looked
               up with searchsorted.  Each match is one index row
-              (a, b, c, d); the rows are sorted as packed base-count
-              integers, which is the text order of the result lines.
+              (a, b, c, d); sorting the rows by their flat index in a
+              count^4 grid puts the result lines in text order.
   re-check  - every row is checked again exactly: its four PAF rows must
               sum to 0 at every shift, or the search raises RuntimeError.
   canonical - negation maps index i to count-1-i, so a row's minimum under
               sequence negations and slot permutations is the sorted
-              min(i, count-1-i) of its slots, and np.unique of those rows
-              gives the canonical representatives in text order.
+              min(i, count-1-i) of its slots, and np.unique of their flat
+              indices gives the canonical representatives in text order.
 
 `search(n, canonical_only=False)` is the one entry point.  It returns the
 rows as a `SearchResults`: a read-only sequence over the table and the
 rows that builds a `WilliamsonQuadruple` only when an item is accessed.
-`format_results` writes each line from per-sequence texts computed once.
+`format_results` writes each line from `seqcore.rows_to_text` of the table.
 Before any work it refuses an order outside 1..`order_cap()`: the
 environment variable WKIT_MAX_N if set, checked against 1..KEY_MAX_N, and
 ORDER_CAP otherwise.  `wkit search` calls `search`, so the command line
@@ -57,6 +56,7 @@ signature of the entrywise product of a quadruple is the xor of its four
 signatures, and the product condition holds iff that xor equals a fixed
 target.  With H(q, x) the number of ordered pairs (A, B) with
 s_A^2 + s_B^2 = q and sig_A ^ sig_B = x, and H(q) the sum of H(q, x) over x,
+both int64 arrays computed from the table,
 
   R = sum over q of H(q) * H(4n - q)              (row sums admissible)
   P = sum over q, x of H(q, x) * H(4n - q, x ^ target)   (both hold)
@@ -77,10 +77,8 @@ the product test leaves.  The results format keeps a fixed
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -92,6 +90,7 @@ from .seqcore import (
     paf_rows,
     parse_quadruple,  # unused here; perfbench/tracing.py wraps this binding
     quadruple_to_text,  # unused here; perfbench/tracing.py wraps this binding
+    rows_to_text,
     sequence_to_text,
 )
 from .theorems import product_condition
@@ -144,13 +143,13 @@ class SearchReport:
 class SearchResults(Sequence):
     """The quadruples one search found, as a read-only sequence.
 
-    `table` holds the symmetric sequences of the order in text order, and
-    `rows` is a read-only (k, 4) int64 array of indices into it, sorted,
-    so the items come in text order.  Each item is a `WilliamsonQuadruple`
-    built when it is accessed; a slice is another `SearchResults`.
+    `table` is the order's `symmetric_table`, and `rows` a read-only
+    (k, 4) int64 array of indices into it, sorted, so the items come in
+    text order.  Each item is a `WilliamsonQuadruple` built from its four
+    table rows when it is accessed; a slice is another `SearchResults`.
     """
 
-    def __init__(self, table: tuple[PmOneSequence, ...], rows: np.ndarray):
+    def __init__(self, table: np.ndarray, rows: np.ndarray):
         self.table = table
         self.rows = rows
 
@@ -160,84 +159,76 @@ class SearchResults(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return SearchResults(self.table, self.rows[i])
-        return WilliamsonQuadruple(*(self.table[j] for j in self.rows[i]))
+        return WilliamsonQuadruple(*map(PmOneSequence, self.table[self.rows[i]].tolist()))
 
 
-def enumerate_symmetric(n: int):
-    """Yield every symmetric ±1 sequence of length n exactly once.
+def symmetric_table(n: int) -> np.ndarray:
+    """Every symmetric ±1 sequence of length n, as a read-only int64 array
+    of 2^(n//2 + 1) rows.
 
-    Free entries are the indices 0..n//2; the rest mirror them.  Order is
-    lexicographic over the free entries with +1 before -1, matching the
-    '+' < '-' text ordering.
+    Free entries are the indices 0..n//2; the rest mirror them.  Row order
+    is lexicographic over the free entries with +1 before -1, matching the
+    '+' < '-' text ordering, and the last row is the first negated.
     """
     if n < 1:
         raise ValueError("order must be positive")
     free = n // 2 + 1
-    for bits in itertools.product((1, -1), repeat=free):
-        entries = list(bits) + [0] * (n - free)
-        for i in range(free, n):
-            entries[i] = entries[n - i]
-        yield PmOneSequence(tuple(entries))
+    # Entry j of row i is -1 iff bit free-1-j of i is set.
+    half = 1 - 2 * ((np.arange(1 << free)[:, None] >> np.arange(free - 1, -1, -1)) & 1)
+    table = np.concatenate([half, half[:, n - free : 0 : -1]], axis=1)
+    table.setflags(write=False)
+    return table
 
 
-def _product_signatures(seqs: list[tuple[int, ...]]) -> tuple[list[int], int]:
-    """Xor-linear product signature of each symmetric sequence of one order,
-    and the target the four signatures of a quadruple must xor to.
+def enumerate_symmetric(n: int):
+    """Yield each row of `symmetric_table(n)`, in order, as a `PmOneSequence`."""
+    yield from map(PmOneSequence, symmetric_table(n).tolist())
+
+
+def _product_signatures(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """Xor-linear product signature of each row of a `symmetric_table`, as
+    one int64 array, and the target the four signatures must xor to.
 
     Even n = 2m: bit i is [s_i != s_{i+m}] for 0 <= i < m.  Odd n: bit i-1
     is [s_i != s_0] for 1 <= i <= (n-1)/2.  The target is read off
-    `product_condition`, called once per sequence: products of symmetric
-    sequences are symmetric, so `seqs` holds every product sequence the
+    `product_condition`, called once per row: products of symmetric
+    sequences are symmetric, so `table` holds every product sequence the
     search can meet, and the condition must accept exactly one signature.
     """
-    n = len(seqs[0])
+    n = table.shape[1]
     if n % 2 == 0:
-        pairs = [(i, i + n // 2) for i in range(n // 2)]
+        differ = table[:, : n // 2] != table[:, n // 2 :]
     else:
-        pairs = [(i, 0) for i in range(1, (n + 1) // 2)]
-    sigs = [sum(1 << k for k, (i, j) in enumerate(pairs) if s[i] != s[j]) for s in seqs]
-    accepted = [product_condition(s) for s in seqs]
-    targets = {sig for sig, ok in zip(sigs, accepted) if ok}
-    if len(targets) != 1 or any(sig in targets and not ok for sig, ok in zip(sigs, accepted)):
+        differ = table[:, 1 : (n + 1) // 2] != table[:, :1]
+    sigs = differ @ (1 << np.arange(differ.shape[1]))
+    accepted = np.array([product_condition(row) for row in table.tolist()], dtype=bool)
+    targets = np.unique(sigs[accepted])
+    if len(targets) != 1 or not np.array_equal(sigs == targets[0], accepted):
         raise RuntimeError(f"product signatures disagree with product_condition at order {n}")
-    (target,) = targets
-    return sigs, target
+    return sigs, int(targets[0])
 
 
-def _counters(seqs: list[tuple[int, ...]]) -> tuple[int, int, int]:
-    """The exact counters over `seqs` (all symmetric sequences of one
+def _counters(table: np.ndarray) -> tuple[int, int, int]:
+    """The exact counters over `table` (all symmetric sequences of one
     order): candidates examined, pruned by rowsum and pruned by product.
     """
-    n = len(seqs[0])
-    # H(q, x) and H(q) of the module docstring, over ordered pairs.
-    sigs, target = _product_signatures(seqs)
-    classes = Counter(zip([sum(s) ** 2 for s in seqs], sigs))
-    h_qx: Counter[tuple[int, int]] = Counter()
-    for (qa, xa), na in classes.items():
-        for (qb, xb), nb in classes.items():
-            h_qx[qa + qb, xa ^ xb] += na * nb
-    h_q: Counter[int] = Counter()
-    for (q, _), k in h_qx.items():
-        h_q[q] += k
-    admitted = sum(k * h_q[4 * n - q] for q, k in h_q.items())
-    kept = sum(k * h_qx[4 * n - q, x ^ target] for (q, x), k in h_qx.items())
-    return kept, len(seqs) ** 4 - admitted, admitted - kept
-
-
-def _pack(rows: np.ndarray, count: int) -> np.ndarray:
-    """Each index row (a, b, c, d) as the base-count integer abcd."""
-    packed = np.zeros(len(rows), dtype=np.int64)
-    for slot in range(4):
-        packed = packed * count + rows[:, slot]
-    return packed
-
-
-def _unpack(packed: np.ndarray, count: int) -> np.ndarray:
-    """Inverse of `_pack`: the (k, 4) index rows of packed integers."""
-    rows = np.empty((len(packed), 4), dtype=np.int64)
-    for slot in (3, 2, 1, 0):
-        packed, rows[:, slot] = np.divmod(packed, count)
-    return rows
+    count, n = table.shape
+    sigs, target = _product_signatures(table)
+    # H(q, x) of the module docstring for q <= 4n, over ordered pairs of
+    # (s^2, sig) classes; int64 is exact, as count^4 <= 2^56 to KEY_MAX_N.
+    width = 1 << int(sigs.max()).bit_length()
+    classes, sizes = np.unique(table.sum(axis=1) ** 2 * width + sigs, return_counts=True)
+    q, x = np.divmod(classes, width)
+    pair_q = (q[:, None] + q).ravel()
+    keep = pair_q <= 4 * n
+    h_qx = np.zeros((4 * n + 1, width), dtype=np.int64)
+    pairs = (pair_q[keep], (x[:, None] ^ x).ravel()[keep])
+    np.add.at(h_qx, pairs, np.outer(sizes, sizes).ravel()[keep])
+    h_q = h_qx.sum(axis=1)
+    # Reversed rows are H(4n - q, .); permuted columns are H(., x ^ target).
+    admitted = int(h_q @ h_q[::-1])
+    kept = int((h_qx * h_qx[::-1, np.arange(width) ^ target]).sum())
+    return kept, count**4 - admitted, admitted - kept
 
 
 def _join(pafs: np.ndarray, n: int) -> np.ndarray:
@@ -264,8 +255,9 @@ def _join(pafs: np.ndarray, n: int) -> np.ndarray:
     ab = np.repeat(order, hits)
     offset = np.repeat(lo - (np.cumsum(hits) - hits), hits)
     cd = order[offset + np.arange(len(ab))]
-    # ab * count^2 + cd is the row (a, b, c, d) packed as by _pack.
-    return _unpack(np.sort(ab * (count * count) + cd), count)
+    # ab * count^2 + cd is the flat index of the row (a, b, c, d) in a
+    # count^4 grid, so sorting the flat indices sorts the rows.
+    return np.stack(np.unravel_index(np.sort(ab * (count * count) + cd), (count,) * 4), axis=1)
 
 
 def _check_rows(pafs: np.ndarray, rows: np.ndarray) -> None:
@@ -295,22 +287,16 @@ def search(n: int, canonical_only: bool = False) -> tuple[SearchResults, SearchR
         raise ValueError(f"order {n} outside supported range 1..{cap}")
 
     start = time.perf_counter()
-    table = tuple(enumerate_symmetric(n))
-    seqs = [s.entries for s in table]
-    pafs = paf_rows(np.array(seqs))[:, 1:]
+    table = symmetric_table(n)
+    pafs = paf_rows(table)[:, 1:]
     rows = _join(pafs, n)
     _check_rows(pafs, rows)
-    count = len(table)
-    lowest = np.sort(np.minimum(rows, count - 1 - rows), axis=1)
-    canonical = _unpack(np.unique(_pack(lowest, count)), count)
-    examined, pruned_rowsum, pruned_product = _counters(seqs)
-    report = SearchReport(
-        raw_count=len(rows),
-        canonical_count=len(canonical),
-        candidates_examined=examined,
-        pruned_rowsum=pruned_rowsum,
-        pruned_product=pruned_product,
-    )
+    grid = (len(table),) * 4
+    lowest = np.sort(np.minimum(rows, grid[0] - 1 - rows), axis=1)
+    # Flat indices: np.unique(lowest, axis=0) is about 2x slower.
+    flat = np.unique(np.ravel_multi_index(tuple(lowest.T), grid))
+    canonical = np.stack(np.unravel_index(flat, grid), axis=1)
+    report = SearchReport(len(rows), len(canonical), *_counters(table))
     kept = canonical if canonical_only else rows
     kept.setflags(write=False)
     report.elapsed = time.perf_counter() - start
@@ -331,7 +317,7 @@ def canonicalize(q: WilliamsonQuadruple) -> WilliamsonQuadruple:
 
 def format_results(results: SearchResults, report: SearchReport) -> str:
     """Results file: one quadruple text per line, then a '#' report block."""
-    texts = [sequence_to_text(s) for s in results.table]
+    texts = rows_to_text(results.table)
     slots = [[texts[i] for i in column] for column in results.rows.T.tolist()]
     lines = list(map(";".join, zip(*slots)))
     lines += [

@@ -17,13 +17,15 @@ kernel once on its whole table of sequences.
 
 Text form used across the package: a sequence is a string over '+' and
 '-' (e.g. "+--" for [1, -1, -1]); a quadruple is four such strings joined
-by ';'.
+by ';'.  `rows_to_text` renders every row of a ±1 array at once, for the
+search's result lines and the Hadamard matrix text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +46,9 @@ class ParseError(ValueError):
         self.column = column
 
 
+_PM_ONE = {1: 1, -1: -1}
+
+
 @dataclass(frozen=True)
 class PmOneSequence:
     """A ±1 sequence, the first row of a circulant matrix."""
@@ -52,14 +57,17 @@ class PmOneSequence:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
         n = len(entries)
         if n < 1:
             raise ValueError("sequence must have at least one entry")
         if n > MAX_ORDER:
             raise ValueError(f"sequence length {n} exceeds cap {MAX_ORDER}")
-        if entries.count(1) + entries.count(-1) != n:
-            raise ValueError("entries must be +1 or -1")
+        # Stored as ints whatever equal values (1.0, True) came; one C-level lookup.
+        try:
+            signs = itemgetter(*entries)(_PM_ONE)
+        except (KeyError, TypeError):
+            raise ValueError("entries must be +1 or -1") from None
+        object.__setattr__(self, "entries", signs if n > 1 else (signs,))
 
     @property
     def n(self) -> int:
@@ -241,6 +249,12 @@ def sequence_to_text(s: PmOneSequence) -> str:
 
 def quadruple_to_text(q: WilliamsonQuadruple) -> str:
     return ";".join(sequence_to_text(s) for s in q.sequences())
+
+
+def rows_to_text(rows: np.ndarray) -> list[str]:
+    """The '+'/'-' text of each row of a 2-D ±1 array."""
+    signs = np.where(rows == 1, ord("+"), ord("-")).astype(np.uint8)
+    return [row.tobytes().decode() for row in signs]
 
 
 _SIGNS = {"+": 1, "-": -1}

@@ -4,6 +4,7 @@ that name the code they measured."""
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -21,6 +22,15 @@ def test_run_once_times_a_fresh_search_process(tmp_path):
     wall, peak_rss_mb, raw = bench.run_once(REPO, 2, tmp_path / "results.txt")
     assert raw == 96
     assert wall > 0
+    assert peak_rss_mb > 1
+
+
+def test_run_child_reports_stdout_exit_status_and_peak_rss():
+    bench = load_bench()
+    code = "import os, sys; print(os.environ['PYTHONPATH'], os.environ['EXTRA']); sys.exit(3)"
+    printed, status, peak_rss_mb = bench.run_child([sys.executable, "-c", code], REPO, EXTRA="x")
+    assert printed == f"{REPO / 'src'} x\n"
+    assert status == 3
     assert peak_rss_mb > 1
 
 

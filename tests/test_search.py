@@ -15,12 +15,14 @@ from wkit.search import (
     KEY_MAX_N,
     ORDER_CAP,
     _check_rows,
+    _counters,
     _product_signatures,
     canonicalize,
     enumerate_symmetric,
     format_results,
     order_cap,
     search,
+    symmetric_table,
 )
 from wkit.seqcore import (
     PmOneSequence,
@@ -45,13 +47,18 @@ RAW_COUNTS = {1: 16, 2: 96, 3: 64, 4: 256, 5: 192, 6: 1536, 7: 960, 8: 1536}
 # cross-checked against the independent numpy pair-sum join in
 # perfbench/oracle.py, and the exact (examined, pruned_rowsum,
 # pruned_product) counters; 10 and 11 are the benchmark's orders, whose
-# counters the count^4 scan of earlier versions also gave.
+# counters the count^4 scan of earlier versions also gave.  The odd orders
+# have the most (s^2, sig) classes behind the counters.
 LARGE_COUNTS = {
     10: ((7680, 20), (235_008, 15_817_216, 724_992)),
     11: ((1920, 5), (57_600, 15_817_216, 902_400)),
     12: ((16384, 52), (1_809_792, 261_155_456, 5_470_208)),
+    13: ((5184, 15), (473_280, 253_483_456, 14_478_720)),
     14: ((87552, 228), (22_468_608, 4_125_623_296, 146_875_392)),
+    15: ((4608, 14), (4_334_400, 4_018_372_096, 272_260_800)),
     16: ((24576, 100), (29_256_448, 68_485_292_800, 204_927_488)),
+    17: ((6144, 16), (16_289_280, 66_595_225_600, 2_107_961_856)),
+    19: ((14400, 42), (144_926_208, 1_062_469_998_592, 36_896_702_976)),
 }
 
 
@@ -81,6 +88,10 @@ def test_enumerate_symmetric_is_complete_and_unique(n):
     assert set(got) == set(symmetric_tuples(n))
     for t in got:
         assert symmetric_by_definition(t)
+    # The sequences are the rows of the search's read-only int64 table.
+    table = symmetric_table(n)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert [tuple(row) for row in table.tolist()] == got
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -97,6 +108,8 @@ def test_enumerate_symmetric_order(n):
 def test_enumerate_symmetric_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(enumerate_symmetric(0))
+    with pytest.raises(ValueError):
+        symmetric_table(0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +303,40 @@ def test_results_match_direct_scan(found_by_order):
 
 @pytest.mark.parametrize("n", range(1, ORDER_CAP + 1))
 def test_product_signature_matches_theorem(n):
-    seqs = [s.entries for s in enumerate_symmetric(n)]
+    seqs = symmetric_table(n)
     sigs, target = _product_signatures(seqs)
     # even n: no entry differs from its half-period partner; odd n: every
     # entry 1..(n-1)/2 differs from entry 0
     assert target == (0 if n % 2 == 0 else (1 << (n - 1) // 2) - 1)
     for s, sig in zip(seqs, sigs):
         assert (sig == target) == product_condition(s)
+
+
+@pytest.mark.parametrize("n", range(1, ORDER_CAP + 1))
+def test_counters_match_a_python_int_class_count(n):
+    # Reference for the int64 arrays of _counters, sharing no code with
+    # it: Python ints and dicts, sequences classed by (s^2, pattern), where
+    # the pattern holds the entry products the theorem compares (s_i s_{i+m}
+    # on even n, s_i s_0 on odd n), multiplied entrywise over a quadruple.
+    m = n // 2
+    seqs = [s.entries for s in enumerate_symmetric(n)]
+    if n % 2 == 0:
+        pattern, target = (lambda s: tuple(s[i] * s[i + m] for i in range(m))), (1,) * m
+    else:
+        pattern, target = (lambda s: tuple(s[i] * s[0] for i in range(1, m + 1))), (-1,) * m
+    classes = Counter((sum(s) ** 2, pattern(s)) for s in seqs)
+    pairs = Counter()
+    for (qa, pa), na in classes.items():
+        for (qb, pb), nb in classes.items():
+            pairs[qa + qb, tuple(x * y for x, y in zip(pa, pb))] += na * nb
+    by_q = Counter()
+    for (q, _), k in pairs.items():
+        by_q[q] += k
+    admitted = sum(k * by_q[4 * n - q] for q, k in by_q.items())
+    kept = sum(
+        k * pairs[4 * n - q, tuple(x * t for x, t in zip(p, target))] for (q, p), k in pairs.items()
+    )
+    assert _counters(symmetric_table(n)) == (kept, len(seqs) ** 4 - admitted, admitted - kept)
 
 
 def test_package_attribute_search_is_the_module():
@@ -308,9 +348,8 @@ def test_package_attribute_search_is_the_module():
 
 def test_product_signatures_refuse_a_disagreeing_condition(monkeypatch):
     monkeypatch.setattr(wkit.search, "product_condition", lambda products: products[0] == 1)
-    seqs = [s.entries for s in enumerate_symmetric(4)]
     with pytest.raises(RuntimeError, match="disagree"):
-        _product_signatures(seqs)
+        _product_signatures(symmetric_table(4))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -321,7 +360,7 @@ def test_even_mod4_prunes_what_product_would(n):
     # every one.  The test depends only on the entrywise product, and each
     # symmetric sequence s is the product of (s, 1, 1, 1).
     seqs = list(enumerate_symmetric(n))
-    sigs, target = _product_signatures([s.entries for s in seqs])
+    sigs, target = _product_signatures(symmetric_table(n))
     ones = PmOneSequence((1,) * n)
     for s, sig in zip(seqs, sigs):
         quad = WilliamsonQuadruple(s, ones, ones, ones)
@@ -419,7 +458,7 @@ def test_search_refuses_orders_whose_keys_overflow(monkeypatch):
     def enumerate_nothing(n):
         raise AssertionError("enumerated before the order check")
 
-    monkeypatch.setattr(wkit.search, "enumerate_symmetric", enumerate_nothing)
+    monkeypatch.setattr(wkit.search, "symmetric_table", enumerate_nothing)
     monkeypatch.setenv("WKIT_MAX_N", str(KEY_MAX_N + 1))
     with pytest.raises(ValueError, match=f"^WKIT_MAX_N {KEY_MAX_N + 1} outside 1..{KEY_MAX_N}$"):
         search(KEY_MAX_N + 1)
@@ -462,6 +501,21 @@ def test_row_recheck_refuses_a_non_williamson_row(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Lazy result sequence
+
+
+def test_search_builds_no_sequence_object(monkeypatch):
+    # The search and its results file work on the ±1 table alone; a
+    # PmOneSequence appears only when an item of the results is accessed.
+    def refuse(self):
+        raise AssertionError("a PmOneSequence was built")
+
+    want = {n: format_results(*search(n)) for n in (9, 10)}
+    monkeypatch.setattr(PmOneSequence, "__post_init__", refuse)
+    for n, text in want.items():
+        quads, report = search(n)
+        assert format_results(quads, report).split("# elapsed")[0] == text.split("# elapsed")[0]
+        with pytest.raises(AssertionError, match="PmOneSequence"):
+            quads[0]
 
 
 def test_search_results_build_quadruples_on_access():

@@ -13,6 +13,7 @@ from conftest import (
     symmetric_by_definition,
     symmetric_tuples,
 )
+from wkit.groupring import gre_from_signs
 from wkit.search import search
 from wkit.seqcore import (
     MAX_ORDER,
@@ -31,8 +32,10 @@ from wkit.seqcore import (
     parse_sequence,
     quadruple_to_text,
     row_sum,
+    rows_to_text,
     sequence_to_text,
 )
+from wkit.theorems import compress2
 
 
 def seq(*entries):
@@ -63,6 +66,18 @@ def test_sequence_rejects_bad_entries():
         PmOneSequence(())
     with pytest.raises(ValueError):
         PmOneSequence((1,) * (MAX_ORDER + 1))
+
+
+def test_sequence_stores_int_entries():
+    # Entries equal to ±1 but of another type are stored as the ints 1 and
+    # -1, so row sums, compressions and group ring coefficients print as ints.
+    for given in ((1.0, -1.0), (True, -1), (np.int64(1), np.int64(-1)), np.array([1, -1])):
+        entries = PmOneSequence(given).entries
+        assert entries == (1, -1)
+        assert [type(v) for v in entries] == [int, int]
+    assert str(compress2(PmOneSequence((1.0, 1.0)))) == "2"
+    assert repr(row_sum(PmOneSequence((1.0, 1.0)))) == "2"
+    assert str(gre_from_signs(PmOneSequence((1.0, -1.0)))) == "1 -1"
 
 
 def test_sequence_basics():
@@ -336,6 +351,15 @@ def test_sequence_text_round_trip():
     for _ in range(200):
         s = random_pm_sequence(rng, rng.randint(1, 16))
         assert parse_sequence(sequence_to_text(s)) == s
+
+
+def test_rows_to_text_renders_each_row_as_its_sequence_text():
+    rng = make_rng(23)
+    for n in (1, 2, 7, MAX_ORDER):
+        seqs = [random_pm_sequence(rng, n) for _ in range(20)]
+        rows = np.array([s.entries for s in seqs])
+        assert rows_to_text(rows) == [sequence_to_text(s) for s in seqs]
+    assert rows_to_text(np.empty((0, 3), dtype=np.int64)) == []
 
 
 def test_quadruple_text_round_trip():

@@ -8,7 +8,8 @@ Each run is one fresh interpreter, `python -m wkit.cli search --n N --out
 FILE`, with CHECKOUT/src on PYTHONPATH (default: this checkout) and
 WKIT_MAX_N=N, so that orders above the default cap run too.  Each order
 in ORDERS runs REPEAT times.  Wall seconds are measured around the whole
-process, start-up included, and peak RSS is the child's own ru_maxrss.
+process, start-up included, and peak RSS is the child's own ru_maxrss,
+read by `run_child`, which tools/bench_verify.py shares.
 Per order the entry keeps every run's wall time, their median and the
 largest peak RSS, plus the `# raw_count` line of the output as a
 correctness anchor.  The entry is appended to BENCH_search.json at the
@@ -35,25 +36,34 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO / "BENCH_search.json"
-ORDERS = (10, 12, 14, 16, 18, 20)
+ORDERS = (10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20)
 REPEAT = 5
+
+
+def run_child(argv: list[str], root: Path, **env: str) -> tuple[str, int, float]:
+    """Run argv to its end with root/src on PYTHONPATH and env added to
+    the environment; return its stdout, exit status and own peak RSS in MB."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), **env}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    printed = proc.stdout.read()
+    proc.stdout.close()
+    # wait4 gives this child's own rusage; RUSAGE_CHILDREN would give the
+    # largest peak of every child so far.
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+    return printed, proc.returncode, usage.ru_maxrss / 1024
 
 
 def run_once(root: Path, n: int, out: Path) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MB and raw count of one search process."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "WKIT_MAX_N": str(n)}
     argv = [sys.executable, "-m", "wkit.cli", "search", "--n", str(n), "--out", str(out)]
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-    # wait4 gives this child's own rusage; RUSAGE_CHILDREN would give the
-    # largest peak of every child so far.
-    _, status, usage = os.wait4(proc.pid, 0)
+    _, status, peak_rss_mb = run_child(argv, root, WKIT_MAX_N=str(n))
     wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited with {proc.returncode}")
+    if status != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited with {status}")
     raw = next(line for line in out.read_text().splitlines() if line.startswith("# raw_count "))
-    return wall, usage.ru_maxrss / 1024, int(raw.split()[-1])
+    return wall, peak_rss_mb, int(raw.split()[-1])
 
 
 def git_commit(root: Path) -> str | None:

@@ -25,17 +25,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_search import REPO, append_entry  # noqa: E402
+from bench_search import REPO, append_entry, run_child  # noqa: E402
 
 BENCH_FILE = REPO / "BENCH_verify.json"
 ORDERS = (16, 32, 48, 64)
@@ -65,19 +63,12 @@ def write_lines(path: Path, n: int) -> int:
 def run_once(root: Path, path: Path, out: Path) -> tuple[float, float, str]:
     """Seconds of one verify call in a fresh process, its peak RSS in MB
     and the sha256 of its output."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = [sys.executable, "-c", CHILD, str(path), str(out)]
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
-    printed = proc.stdout.read()
-    proc.stdout.close()
-    # wait4 gives this child's own rusage, as in bench_search.run_once.
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+    printed, status, peak_rss_mb = run_child([sys.executable, "-c", CHILD, str(path), str(out)], root)
     seconds, rc = printed.split()
     # Random lines are not Williamson, so verify exits 1 (0 if all pass).
-    if proc.returncode != 0 or rc not in ("0", "1"):
-        raise RuntimeError(f"verify of {path} exited with {rc} (process {proc.returncode})")
-    return float(seconds), usage.ru_maxrss / 1024, hashlib.sha256(out.read_bytes()).hexdigest()
+    if status != 0 or rc not in ("0", "1"):
+        raise RuntimeError(f"verify of {path} exited with {rc} (process {status})")
+    return float(seconds), peak_rss_mb, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def measure(root: Path) -> list[dict]:
