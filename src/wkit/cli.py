@@ -7,22 +7,36 @@ verification/check failure, 2 usage or parse error.
 
 verify, compress and check share one input loop, `_each_line`, and one
 error policy.  Blank lines are skipped and the rest keep their 1-based
-input line numbers.  A ParseError prints `line N, column C: ...` to
-stderr and exits 2 before any output is written.  Any other ValueError
-(an over-long or asymmetric sequence, a failed precondition) fails only
-its own line: verify and check write it as that line's result, compress
-prints it to stderr.  Results are written once, after the last line.
-hadamard reads through the same non-blank-line reader and takes exactly
-one line.
+input line numbers.  Each line is parsed by itself; the parsed lines are
+judged CHUNK at a time.  check and compress judge them one by one;
+verify makes one pass per order over a chunk, with integer array
+kernels on the stacked quadruples of that order.  A ParseError prints
+`line N, column C: ...` to stderr and exits 2 before any output is
+written.  Any other ValueError (an over-long or asymmetric sequence, a
+failed precondition) fails only its own line: verify and check write it
+as that line's result, compress prints it to stderr.  Results are
+written once, after the last line.  hadamard reads through the same
+non-blank-line reader and takes exactly one line.
+
+`main` builds the argument parser on its first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
-from .groupring import even_coefficient_parity_check, hall_identity_check, mod2_square_check
+import numpy as np
+
+from .groupring import (
+    even_coefficient_parity_check,
+    hall_identity_check,
+    hall_rows,
+    mod2_square_check,
+)
 from .hadamard import is_hadamard, matrix_to_text, williamson_array
 from .search import format_results, search
 from .seqcore import (
@@ -32,17 +46,24 @@ from .seqcore import (
     matrix_williamson_check,
     parse_quadruple,
     parse_sequence,
+    stack_quadruples,
+    williamson_rows,
 )
 from .theorems import (
     compress2,
     corollary_mod4_check,
     mod4_filter,
+    mod4_rows,
+    product_rows,
     product_theorem_even_check,
     product_theorem_odd_check,
     theorem_filter,
 )
 
 OK, VERIFY_FAILED, USAGE_ERROR = 0, 1, 2
+# Lines judged together.  It bounds the kernels' gathers whatever the
+# input size: at most 4 * CHUNK * n * n int64 entries (the Hall squares).
+CHUNK = 256
 
 
 class CliError(Exception):
@@ -74,60 +95,107 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
-def _each_line(args: argparse.Namespace, parse, verdict, error_label: str | None = None) -> int:
-    """Write verdict(parse(line)) for each non-blank input line.
+def _each_line(args: argparse.Namespace, parse, verdicts, error_label: str | None = None) -> int:
+    """Write the verdicts on the non-blank input lines.
 
-    `verdict` returns (text, passed).  With an `error_label`, results are
-    written as `line N: text` and a ValueError other than a ParseError
-    becomes the result `line N: <error_label> (<message>)`; without one,
-    results are written bare and such an error goes to stderr as
-    `line N: <message>`.  A ParseError stops the run with exit status 2.
+    Lines are parsed one at a time and judged CHUNK at a time: `verdicts`
+    maps a list of parsed values to a list with one (text, passed) pair,
+    or one ValueError, per value.  With an `error_label`, results are
+    written as `line N: text` and a ValueError other than a ParseError,
+    from `parse` or from `verdicts`, becomes the result `line N:
+    <error_label> (<message>)`; without one, results are written bare and
+    such an error goes to stderr as `line N: <message>`.  A ParseError
+    stops the run with exit status 2, after the errors of the lines
+    before it.
     """
-    out_lines = []
+    out_chunks = []
     status = OK
-    for lineno, raw in _read_lines(args.input):
-        try:
-            text, passed = verdict(parse(raw))
-        except ParseError as exc:
-            print(f"line {lineno}, {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        except ValueError as exc:
-            if error_label is None:
-                print(f"line {lineno}: {exc}", file=sys.stderr)
+    lines = iter(_read_lines(args.input))
+    while chunk := list(islice(lines, CHUNK)):
+        values, stop = [], None
+        for lineno, raw in chunk:
+            try:
+                values.append(parse(raw))
+            except ParseError as exc:
+                stop = f"line {lineno}, {exc}"
+                break
+            except ValueError as exc:
+                values.append(exc)
+        judged = iter(verdicts([v for v in values if not isinstance(v, ValueError)]))
+        out_lines = []
+        for (lineno, _), value in zip(chunk, values):
+            result = value if isinstance(value, ValueError) else next(judged)
+            if isinstance(result, ValueError):
+                if error_label is None:
+                    print(f"line {lineno}: {result}", file=sys.stderr)
+                    status = VERIFY_FAILED
+                    continue
+                result = f"{error_label} ({result})", False
+            text, passed = result
+            if not passed:
                 status = VERIFY_FAILED
-                continue
-            text, passed = f"{error_label} ({exc})", False
-        if not passed:
-            status = VERIFY_FAILED
-        out_lines.append(text if error_label is None else f"line {lineno}: {text}")
-    _write_text(args.output, "".join(line + "\n" for line in out_lines))
+            out_lines.append(text if error_label is None else f"line {lineno}: {text}")
+        if stop is not None:
+            print(stop, file=sys.stderr)
+            return USAGE_ERROR
+        out_chunks.append("".join(line + "\n" for line in out_lines))
+    _write_text(args.output, "".join(out_chunks))
     return status
 
 
+def _one_by_one(verdict):
+    """`verdicts` for `_each_line` from a verdict on one value."""
+
+    def verdicts(values):
+        results = []
+        for value in values:
+            try:
+                results.append(verdict(value))
+            except ValueError as exc:
+                results.append(exc)
+        return results
+
+    return verdicts
+
+
+def _verify_verdicts(quads: list) -> list[tuple[str, bool]]:
+    """verify's `verdicts`: one pass per order over a chunk of quadruples.
+
+    The quadruples of one order are stacked into one (k, 4, n) array and
+    tested by the Williamson kernel; the product, mod4 (even n) and Hall
+    kernels run only on the rows that pass it, so their preconditions
+    hold.  The kernels are read from this module when the command runs,
+    so a rebound name (a tracing wrapper, say) is the one called.
+    """
+    results = [None] * len(quads)
+    by_order = {}
+    for k, q in enumerate(quads):
+        by_order.setdefault(q.n, []).append(k)
+    for n, ks in by_order.items():
+        rows = stack_quadruples([quads[k] for k in ks])
+        williamson = williamson_rows(rows)
+        names = ["product", "mod4", "hall"] if n % 2 == 0 else ["product", "hall"]
+        failed = " ".join(["williamson=FAIL"] + [f"{name}=SKIP" for name in names]), False
+        ks = np.array(ks)
+        for k in ks[~williamson].tolist():
+            results[k] = failed
+        if not williamson.any():
+            continue
+        passed = rows[williamson]
+        checks = [product_rows(passed)] + [mod4_rows(passed)] * (n % 2 == 0) + [hall_rows(passed)]
+        texts = {}  # one result per pattern of check verdicts
+        for k, oks in zip(ks[williamson].tolist(), map(tuple, np.column_stack(checks).tolist())):
+            if oks not in texts:
+                parts = [f"{name}={'PASS' if ok else 'FAIL'}" for name, ok in zip(names, oks)]
+                texts[oks] = " ".join(["williamson=PASS"] + parts), all(oks)
+            results[k] = texts[oks]
+    return results
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    # The (name, check) battery for even and for odd orders.  The checks
-    # are read from this module when the command runs, so a rebound name
-    # (a tracing wrapper, say) is the one called.
-    hall = ("hall", hall_identity_check)
-    batteries = (
-        [("product", product_theorem_even_check), ("mod4", corollary_mod4_check), hall],
-        [("product", product_theorem_odd_check), hall],
-    )
-    skipped = [" ".join(["williamson=FAIL"] + [f"{name}=SKIP" for name, _ in b]) for b in batteries]
-
-    def verdict(q):
-        parity = q.n % 2
-        if not is_williamson(q):
-            return skipped[parity], False
-        parts = ["williamson=PASS"]
-        passed = True
-        for name, check in batteries[parity]:
-            ok = check(q)
-            parts.append(f"{name}={'PASS' if ok else 'FAIL'}")
-            passed = passed and ok
-        return " ".join(parts), passed
-
-    return _each_line(args, parse_quadruple, verdict, "williamson=FAIL")
+    # Lines are parsed one at a time and checked in one pass per order
+    # over each chunk; the results are still written once, after the last line.
+    return _each_line(args, parse_quadruple, _verify_verdicts, "williamson=FAIL")
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -142,7 +210,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    return _each_line(args, parse_sequence, lambda s: (str(compress2(s)), True))
+    return _each_line(args, parse_sequence, _one_by_one(lambda s: (str(compress2(s)), True)))
 
 
 def cmd_hadamard(args: argparse.Namespace) -> int:
@@ -197,7 +265,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return ("PASS" if passed else "FAIL"), passed
 
     parse = parse_quadruple if wants_quadruple else parse_sequence
-    return _each_line(args, parse, verdict, "ERROR")
+    return _each_line(args, parse, _one_by_one(verdict), "ERROR")
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -246,8 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and then reused: argparse keeps no state between
+# parse_args calls, and rebuilding the tree costs about a millisecond.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -20,13 +20,29 @@ independently computed checks:
 together with the parity consequence for even n: among the eight entries
 feeding positions k/2 and (k+n)/2 of the four sequences, the number of
 +1s is even for every even k.
+
+`gre_mul` is the schoolbook product, kept as the reference.  The two
+square identities use one kernel instead, `support_squares`: an exact
+int64 cyclic convolution of each 0/1 support with itself over a
+(j - i) mod n index table, which is not the PAF shift table, so the Hall
+check stays a route independent of `is_williamson`.  `hall_rows` checks
+the identity on a (k, 4, n) stack of quadruples at once, as `wkit
+verify` does for each order; `hall_identity_check` is a one-row call of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .seqcore import PmOneSequence, PreconditionError, WilliamsonQuadruple, is_williamson
+import numpy as np
+
+from .seqcore import (
+    PmOneSequence,
+    PreconditionError,
+    WilliamsonQuadruple,
+    is_williamson,
+    stack_quadruples,
+)
 
 
 @dataclass(frozen=True)
@@ -78,30 +94,47 @@ def gre_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(n, tuple(out))
 
 
+def support_squares(supports: np.ndarray) -> np.ndarray:
+    """The square in Z[C_n] of each row of a (k, n) 0/1 array.
+
+    Entry [r, j] is sum(s[r, i] * s[r, (j - i) % n] for i in range(n)),
+    the coefficient of u^j, computed as one int64 matmul of each row
+    against its gather through a (j - i) mod n index table, so the
+    gather holds k*n*n entries.  Exact: no coefficient exceeds n.
+    """
+    supports = np.asarray(supports, dtype=np.int64)
+    i = np.arange(supports.shape[1])
+    # Row j of the table holds (j - i) mod n: u^i times u^(j-i) is u^j.
+    gathered = supports.take((i[:, None] - i) % len(i), axis=1)
+    return np.matmul(gathered, supports[:, :, None])[:, :, 0]
+
+
+def hall_rows(quads: np.ndarray) -> np.ndarray:
+    """The positive-support square identity on each quadruple of a
+    (k, 4, n) ±1 array, as a (k,) bool array.
+
+    Squares the 4k positive supports with `support_squares`, sums them
+    per quadruple and compares the sum coefficientwise with
+    (p_A+p_B+p_C+p_D-n) on every power of u plus an extra n on u^0.  The
+    identity is only claimed for Williamson rows.
+    """
+    k, _, n = quads.shape
+    supports = (quads == 1).astype(np.int64)
+    lhs = support_squares(supports.reshape(4 * k, n)).reshape(k, 4, n).sum(axis=1)
+    lhs[:, 0] -= n
+    return (lhs == supports.sum(axis=(1, 2))[:, None] - n).all(axis=1)
+
+
 def hall_identity_check(q: WilliamsonQuadruple) -> bool:
     """Check the positive-support square identity on a Williamson quadruple.
 
-    Computes P_A^2 + P_B^2 + P_C^2 + P_D^2 by convolution and compares it
-    coefficientwise with (p_A+p_B+p_C+p_D-n) on every power of u plus an
-    extra n on u^0.  The identity is only claimed for Williamson input, so
-    a non-Williamson quadruple raises PreconditionError instead of
-    returning a meaningless boolean.
+    A one-row call of `hall_rows`.  The identity is only claimed for
+    Williamson input, so a non-Williamson quadruple raises
+    PreconditionError instead of returning a meaningless boolean.
     """
     if not is_williamson(q):
         raise PreconditionError("hall_identity_check requires a Williamson quadruple")
-    n = q.n
-    lhs = [0] * n
-    psum = 0
-    for s in q.sequences():
-        p = positive_support(s)
-        psum += sum(p.coeffs)
-        sq = gre_mul(p, p)
-        for i, c in enumerate(sq.coeffs):
-            lhs[i] += c
-    base = psum - n
-    rhs = [base] * n
-    rhs[0] += n
-    return lhs == rhs
+    return bool(hall_rows(stack_quadruples([q]))[0])
 
 
 def mod2_square_check(s: PmOneSequence) -> bool:
@@ -110,13 +143,9 @@ def mod2_square_check(s: PmOneSequence) -> bool:
     Holds for every ±1 sequence; kept as a tested oracle, not a filter.
     """
     n = s.n
-    p = positive_support(s)
-    sq = gre_mul(p, p)
-    doubled = [0] * n
-    for i, v in enumerate(s.entries):
-        if v == 1:
-            doubled[2 * i % n] += 1
-    return all((a - b) % 2 == 0 for a, b in zip(sq.coeffs, doubled))
+    support = np.array([s.entries]) == 1
+    doubled = np.bincount(2 * np.flatnonzero(support[0]) % n, minlength=n)
+    return not ((support_squares(support)[0] - doubled) % 2).any()
 
 
 def even_coefficient_parity_check(q: WilliamsonQuadruple) -> bool:

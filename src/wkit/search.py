@@ -191,9 +191,10 @@ def _product_signatures(table: np.ndarray) -> tuple[np.ndarray, int]:
 
     Even n = 2m: bit i is [s_i != s_{i+m}] for 0 <= i < m.  Odd n: bit i-1
     is [s_i != s_0] for 1 <= i <= (n-1)/2.  The target is read off
-    `product_condition`, called once per row: products of symmetric
-    sequences are symmetric, so `table` holds every product sequence the
-    search can meet, and the condition must accept exactly one signature.
+    `product_condition`, called once on the whole table: products of
+    symmetric sequences are symmetric, so `table` holds every product
+    sequence the search can meet, and the condition must accept exactly
+    one signature.
     """
     n = table.shape[1]
     if n % 2 == 0:
@@ -201,7 +202,7 @@ def _product_signatures(table: np.ndarray) -> tuple[np.ndarray, int]:
     else:
         differ = table[:, 1 : (n + 1) // 2] != table[:, :1]
     sigs = differ @ (1 << np.arange(differ.shape[1]))
-    accepted = np.array([product_condition(row) for row in table.tolist()], dtype=bool)
+    accepted = product_condition(table)
     targets = np.unique(sigs[accepted])
     if len(targets) != 1 or not np.array_equal(sigs == targets[0], accepted):
         raise RuntimeError(f"product signatures disagree with product_condition at order {n}")

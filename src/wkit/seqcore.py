@@ -12,8 +12,10 @@ Periodic autocorrelations (PAFs) come from one kernel, `paf_rows`: for a
 (k, n) array of ±1 rows it gathers each row's shifted copies through a
 per-order index table and multiplies them by the row, one exact int64
 matmul for shifts 0..n//2.  `is_williamson` reads the PAFs one sequence
-at a time through the `_paf_vector` cache, and the search calls the
-kernel once on its whole table of sequences.
+at a time through the `_paf_vector` cache.  The search calls the kernel
+once on its whole table of sequences, and `williamson_rows` once on a
+(k, 4, n) stack of quadruples (`stack_quadruples`), as `wkit verify`
+does for each order.
 
 Text form used across the package: a sequence is a string over '+' and
 '-' (e.g. "+--" for [1, -1, -1]); a quadruple is four such strings joined
@@ -166,7 +168,7 @@ def paf_rows(rows: np.ndarray) -> np.ndarray:
 
 # 4,096 entries hold every symmetric sequence of one order up to the
 # search's default cap of 20 (at most 2,048), so piping search output into
-# `wkit verify` computes each PAF vector once.
+# `wkit check williamson` computes each PAF vector once.
 @lru_cache(maxsize=1 << 12)
 def _paf_vector(entries: tuple[int, ...]) -> tuple[int, ...]:
     # Every shift 0..n-1; callers index into this.  The kernel gives shifts
@@ -202,6 +204,22 @@ def is_williamson(q: WilliamsonQuadruple) -> bool:
     vc = _paf_vector(q.c.entries)
     vd = _paf_vector(q.d.entries)
     return all(va[k] + vb[k] + vc[k] + vd[k] == 0 for k in range(1, n // 2 + 1))
+
+
+def stack_quadruples(quads) -> np.ndarray:
+    """The (k, 4, n) int64 ±1 array of k quadruples of one order n."""
+    return np.array([(q.a.entries, q.b.entries, q.c.entries, q.d.entries) for q in quads], np.int64)
+
+
+def williamson_rows(quads: np.ndarray) -> np.ndarray:
+    """`is_williamson` of each quadruple of a (k, 4, n) ±1 array, as a (k,) bool array.
+
+    One `paf_rows` call on the 4k sequence rows; the PAFs are summed over
+    the four slots and must vanish at shifts 1..n//2.
+    """
+    k, _, n = quads.shape
+    sums = paf_rows(quads.reshape(4 * k, n)).reshape(k, 4, n // 2 + 1).sum(axis=1)
+    return ~sums[:, 1:].any(axis=1)
 
 
 def circulant(s: PmOneSequence) -> SquareMatrix:

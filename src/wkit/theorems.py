@@ -10,21 +10,34 @@ on the parity of the order n:
 For even n the condition can be restated through 2-compression: the four
 compressed sequences a'_i = a_i + a_{i+m} sum entrywise to 0 mod 4.
 
-The *_check predicates assert the Williamson precondition and raise
-PreconditionError when it fails; `theorem_filter` and `mod4_filter` are
-the unguarded variants, run on unverified quadruples by `wkit check
-product-filter` and `wkit check mod4-filter`.  They may only reject
-quadruples that cannot be Williamson.  The search does not call them: it
-counts the product condition through xor signatures (see `search`), and
-on even orders the mod4 test is the same test.
+Each condition has one implementation, an integer array kernel on a
+(k, 4, n) stack of quadruples of one order: `product_rows` (through
+`product_condition`, which takes any stack of product sequences) and
+`mod4_rows`.  `wkit verify` calls them once per order on the rows that
+passed the Williamson test.  The per-quadruple predicates are one-row
+calls of them.  The *_check predicates assert the Williamson
+precondition and raise PreconditionError when it fails; `theorem_filter`
+and `mod4_filter` are the unguarded variants, run on unverified
+quadruples by `wkit check product-filter` and `wkit check mod4-filter`.
+They may only reject quadruples that cannot be Williamson.  The search
+does not call them: it counts the product condition through xor
+signatures (see `search`), read off one `product_condition` call on its
+table, and on even orders the mod4 test is the same test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .seqcore import PmOneSequence, PreconditionError, WilliamsonQuadruple, is_williamson
+import numpy as np
+
+from .seqcore import (
+    PmOneSequence,
+    PreconditionError,
+    WilliamsonQuadruple,
+    is_williamson,
+    stack_quadruples,
+)
 
 
 @dataclass(frozen=True)
@@ -42,23 +55,42 @@ class CompressedSequence:
         return " ".join(str(v) for v in self.entries)
 
 
-def _entry_products(q: WilliamsonQuadruple) -> list[int]:
-    a, b, c, d = (s.entries for s in q.sequences())
-    return [a[i] * b[i] * c[i] * d[i] for i in range(q.n)]
+def product_condition(products) -> np.ndarray:
+    """The parity-appropriate product condition on entrywise product sequences.
 
-
-def product_condition(products: Sequence[int]) -> bool:
-    """The parity-appropriate product condition on an entrywise product sequence.
-
-    `products` is the sequence p_i = a_i*b_i*c_i*d_i of a candidate
-    quadruple; each p_i is ±1.
+    `products` holds sequences p_i = a_i*b_i*c_i*d_i of candidate
+    quadruples along its last axis; each p_i is ±1.  Returns a bool array
+    over the leading axes (a numpy bool for one sequence).
     """
-    n = len(products)
+    p = np.asarray(products)
+    n = p.shape[-1]
     if n % 2 == 1:
-        p0 = products[0]
-        return all(products[i] == -p0 for i in range(1, (n + 1) // 2))
+        return (p[..., 1 : (n + 1) // 2] == -p[..., :1]).all(axis=-1)
     m = n // 2
-    return all(products[i] == products[i + m] for i in range(m))
+    return (p[..., :m] == p[..., m:]).all(axis=-1)
+
+
+def product_rows(quads: np.ndarray) -> np.ndarray:
+    """`theorem_filter` of each quadruple of a (k, 4, n) ±1 array, as a (k,) bool array."""
+    return product_condition(quads.prod(axis=1))
+
+
+def mod4_rows(quads: np.ndarray) -> np.ndarray:
+    """`mod4_filter` of each quadruple of a (k, 4, n) ±1 array, as a (k,) bool array.
+
+    Folds each sequence in half (entry i becomes s[i] + s[i+m], the
+    2-compression) and sums the four folds; every sum must be 0 mod 4.
+    Vacuously true on odd orders.
+    """
+    k, _, n = quads.shape
+    if n % 2 != 0:
+        return np.ones(k, dtype=bool)
+    m = n // 2
+    return ~((quads[..., :m] + quads[..., m:]).sum(axis=1) % 4).any(axis=1)
+
+
+def _one_row(kernel, q: WilliamsonQuadruple) -> bool:
+    return bool(kernel(stack_quadruples([q]))[0])
 
 
 def _require_williamson(q: WilliamsonQuadruple, check: str, parity: str) -> None:
@@ -73,13 +105,13 @@ def _require_williamson(q: WilliamsonQuadruple, check: str, parity: str) -> None
 def product_theorem_odd_check(q: WilliamsonQuadruple) -> bool:
     """Odd-order product theorem: entry products flip sign against index 0."""
     _require_williamson(q, "product_theorem_odd_check", "odd")
-    return product_condition(_entry_products(q))
+    return theorem_filter(q)
 
 
 def product_theorem_even_check(q: WilliamsonQuadruple) -> bool:
     """Even-order product theorem: entry products repeat across half-periods."""
     _require_williamson(q, "product_theorem_even_check", "even")
-    return product_condition(_entry_products(q))
+    return theorem_filter(q)
 
 
 def compress2(s: PmOneSequence) -> CompressedSequence:
@@ -104,14 +136,9 @@ def theorem_filter(q: WilliamsonQuadruple) -> bool:
     Returns False only when the parity-appropriate product condition is
     violated, so it never rejects a quadruple for which is_williamson holds.
     """
-    return product_condition(_entry_products(q))
+    return _one_row(product_rows, q)
 
 
 def mod4_filter(q: WilliamsonQuadruple) -> bool:
     """Unguarded compression-sum test; vacuously True for odd orders."""
-    n = q.n
-    if n % 2 != 0:
-        return True
-    m = n // 2
-    comps = [compress2(s).entries for s in q.sequences()]
-    return all(sum(c[i] for c in comps) % 4 == 0 for i in range(m))
+    return _one_row(mod4_rows, q)

@@ -76,3 +76,31 @@ def found_by_order():
     for n in range(1, 9):
         results[n] = search(n)
     return results
+
+
+@pytest.fixture(scope="session")
+def canonical_by_order():
+    """Canonical Williamson quadruples of every order 1..20, from the search.
+
+    Maps n to a list of WilliamsonQuadruple.  Session-scoped: the Hall
+    kernel and the batched verify tests share them.
+    """
+    return {n: list(search(n, canonical_only=True)[0]) for n in range(1, 21)}
+
+
+def double_odd(q):
+    """A Williamson quadruple of order 2n from one of odd order n.
+
+    C_2n is C_2 x C_n for odd n, position j going to (j mod 2, j mod n);
+    with u the generator of C_2, A+uB, A-uB, C+uD and C-uD have squares
+    summing to 2(A^2+B^2+C^2+D^2) = 8n.
+    """
+    a, b, c, d = (s.entries for s in q.sequences())
+    n = len(a)
+    if n % 2 == 0:
+        raise ValueError("doubling needs odd order")
+
+    def join(x, y, sign):
+        return PmOneSequence(tuple(y[j % n] * sign if j % 2 else x[j % n] for j in range(2 * n)))
+
+    return WilliamsonQuadruple(join(a, b, 1), join(a, b, -1), join(c, d, 1), join(c, d, -1))

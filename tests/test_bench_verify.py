@@ -37,3 +37,17 @@ def test_run_once_times_one_verify_call(tmp_path):
     assert len(digest) == 64
     assert seconds > 0
     assert peak_rss_mb > 1
+
+
+def test_williamson_lines_come_from_the_search_and_all_pass(tmp_path):
+    bench = load_bench()
+    path, out = tmp_path / "lines.txt", tmp_path / "verdicts.txt"
+    assert bench.write_williamson_lines(path) == 1620
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(set(lines)) == 1620
+    assert all(len(s) == bench.WILLIAMSON_ORDER for line in lines for s in line.split(";"))
+    bench.run_once(REPO, path, out, rcs=("0",))
+    verdicts = out.read_text().splitlines()
+    assert verdicts == [
+        f"line {k}: williamson=PASS product=PASS mod4=PASS hall=PASS" for k in range(1, 1621)
+    ]

@@ -69,7 +69,15 @@ def test_commands_look_traced_names_up_when_they_run(monkeypatch, tmp_path):
     # The traced run replaces these wkit.cli attributes after import, so a
     # command that captured them earlier (in a table built at import, say)
     # would skip the wrappers and its spans would read 0.
-    names = ("parse_quadruple", "parse_sequence", "hall_identity_check", "corollary_mod4_check")
+    names = (
+        "parse_quadruple",
+        "parse_sequence",
+        "stack_quadruples",
+        "williamson_rows",
+        "product_rows",
+        "mod4_rows",
+        "hall_rows",
+    )
     calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):

@@ -9,9 +9,16 @@ from pathlib import Path
 import pytest
 
 import wkit
-from wkit.cli import OK, USAGE_ERROR, VERIFY_FAILED, main
+from conftest import make_rng, random_symmetric_sequence
+from wkit.cli import CHUNK, OK, USAGE_ERROR, VERIFY_FAILED, main
+from wkit.groupring import hall_identity_check
 from wkit.search import KEY_MAX_N, ORDER_CAP
-from wkit.seqcore import MAX_ORDER
+from wkit.seqcore import MAX_ORDER, is_williamson, parse_quadruple
+from wkit.theorems import (
+    corollary_mod4_check,
+    product_theorem_even_check,
+    product_theorem_odd_check,
+)
 
 
 @pytest.fixture()
@@ -83,6 +90,78 @@ def test_verify_structural_error_is_a_failure(run_cli):
     rc, out, _ = run_cli(["verify"], "+;+;+;++\n")
     assert rc == VERIFY_FAILED
     assert out.startswith("line 1: williamson=FAIL (")
+
+
+def _verify_by_line(lines):
+    """stdout and exit status of `wkit verify`, one line at a time from
+    the public predicates."""
+    out, status = [], OK
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            q = parse_quadruple(line)
+        except ValueError as exc:
+            out.append(f"line {lineno}: williamson=FAIL ({exc})")
+            status = VERIFY_FAILED
+            continue
+        even = q.n % 2 == 0
+        names = ["product"] + ["mod4"] * even + ["hall"]
+        if not is_williamson(q):
+            out.append(f"line {lineno}: williamson=FAIL " + " ".join(f"{m}=SKIP" for m in names))
+            status = VERIFY_FAILED
+            continue
+        product = product_theorem_even_check if even else product_theorem_odd_check
+        checks = [product] + [corollary_mod4_check] * even + [hall_identity_check]
+        oks = [check(q) for check in checks]
+        parts = [f"{m}={'PASS' if ok else 'FAIL'}" for m, ok in zip(names, oks)]
+        out.append(f"line {lineno}: williamson=PASS " + " ".join(parts))
+        if not all(oks):
+            status = VERIFY_FAILED
+    return "".join(line + "\n" for line in out), status
+
+
+def test_verify_batches_equal_the_line_by_line_reference(run_cli, canonical_by_order, tmp_path):
+    # Williamson lines of every order 1..20, random symmetric lines,
+    # structurally bad lines and blank lines, interleaved across orders
+    # and spanning several chunks.
+    rng = make_rng(61)
+    lines = [str(q) for quads in canonical_by_order.values() for q in rng.sample(quads, min(40, len(quads)))]
+    lines += [
+        ";".join(str(random_symmetric_sequence(rng, n)) for _ in range(4))
+        for n in (rng.randint(1, MAX_ORDER) for _ in range(400))
+    ]
+    lines += ["+-+;+-+;+-+;+-+", "++-;+++;+++;+++", "+;+;+;++", "++;++;++;+", "+" * 65 + ";+;+;+"]
+    lines += ["", "   ", "\t"] * 5
+    rng.shuffle(lines)
+    assert len([line for line in lines if line.strip()]) > 2 * CHUNK
+    expected, status = _verify_by_line(lines)
+    assert status == VERIFY_FAILED
+    assert "williamson=PASS" in expected and "product=SKIP" in expected
+    text = "".join(line + "\n" for line in lines)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    for argv, stdin_text in ((["verify"], text), (["verify", "--in", str(path)], "")):
+        assert run_cli(argv, stdin_text) == (status, expected, "")
+
+
+@pytest.mark.parametrize("where", [5, CHUNK + 5, 2 * CHUNK])
+def test_verify_parse_error_after_valid_lines_writes_nothing(run_cli, where):
+    lines = ["++;++;+-;+-", "+++;+++;+++;+++", "+;+;+;++"] * CHUNK
+    lines.insert(where, "++;++;+-;+x")
+    rc, out, err = run_cli(["verify"], "".join(line + "\n" for line in lines))
+    assert (rc, out) == (USAGE_ERROR, "")
+    assert err == f"line {where + 1}, column 11: unexpected character 'x'\n"
+
+
+def test_compress_reports_earlier_errors_before_a_parse_error(run_cli):
+    # Odd-length lines before the bad one are reported in order, in the
+    # same chunk as the parse error and in earlier ones.
+    lines = ["++", "+-+"] * CHUNK + ["+x"]
+    rc, out, err = run_cli(["compress"], "".join(line + "\n" for line in lines))
+    assert (rc, out) == (USAGE_ERROR, "")
+    odd = [f"line {k}: compress2 requires even length" for k in range(2, 2 * CHUNK + 1, 2)]
+    assert err.splitlines() == odd + [f"line {2 * CHUNK + 1}, column 2: unexpected character 'x'"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
+import numpy as np
+
 from conftest import (
     all_pm_tuples,
+    double_odd,
     make_rng,
     random_pm_sequence,
     random_quadruple,
@@ -16,11 +19,20 @@ from wkit.groupring import (
     gre_from_signs,
     gre_mul,
     hall_identity_check,
+    hall_rows,
     mod2_square_check,
     positive_count,
     positive_support,
+    support_squares,
 )
-from wkit.seqcore import PmOneSequence, PreconditionError, WilliamsonQuadruple
+from wkit.seqcore import (
+    MAX_ORDER,
+    PmOneSequence,
+    PreconditionError,
+    WilliamsonQuadruple,
+    is_williamson,
+    stack_quadruples,
+)
 from wkit.theorems import theorem_filter
 
 
@@ -173,6 +185,56 @@ def test_hall_identity_on_all_found(found_by_order):
     for quads, _ in found_by_order.values():
         for q in quads:
             assert hall_identity_check(q)
+
+
+def test_support_squares_match_gre_mul_at_every_order():
+    # The convolution kernel against the schoolbook product, several rows
+    # per call, including the all-zero and all-one supports.
+    rng = make_rng(41)
+    for n in range(1, MAX_ORDER + 1):
+        rows = [[0] * n, [1] * n] + [[rng.randint(0, 1) for _ in range(n)] for _ in range(6)]
+        squares = support_squares(np.array(rows))
+        assert squares.dtype == np.int64
+        for row, square in zip(rows, squares.tolist()):
+            p = GroupRingElement(n, tuple(row))
+            assert tuple(square) == gre_mul(p, p).coeffs
+
+
+def _hall_by_definition(q):
+    # The identity computed with gre_mul and no precondition.
+    n = q.n
+    lhs = [0] * n
+    psum = 0
+    for s in q.sequences():
+        p = positive_support(s)
+        psum += sum(p.coeffs)
+        lhs = [x + y for x, y in zip(lhs, gre_mul(p, p).coeffs)]
+    return lhs == [psum - n + (n if i == 0 else 0) for i in range(n)]
+
+
+def test_hall_rows_agree_with_hall_identity_check(canonical_by_order):
+    # Williamson quadruples of orders 1..20 and the doubled orders 26..38.
+    groups = list(canonical_by_order.values())
+    groups += [[double_odd(q) for q in canonical_by_order[n]] for n in (13, 15, 17, 19)]
+    assert {g[0].n for g in groups} == set(range(1, 21)) | {26, 30, 34, 38}
+    for quads in groups:
+        assert all(is_williamson(q) for q in quads)
+        batched = hall_rows(stack_quadruples(quads)).tolist()
+        assert batched == [hall_identity_check(q) for q in quads]
+        assert all(batched)
+
+
+def test_hall_rows_on_non_williamson_rows_follow_the_definition():
+    # Unguarded, the kernel computes the identity on any row, and random
+    # quadruples make it fail as well as hold.
+    rng = make_rng(43)
+    verdicts = []
+    for n in (2, 3, 4, 5, 6, 7, 9, 12):
+        quads = [random_quadruple(rng, n) for _ in range(40)]
+        batched = hall_rows(stack_quadruples(quads)).tolist()
+        assert batched == [_hall_by_definition(q) for q in quads]
+        verdicts += batched
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_package_attribute_search_is_the_module():
 
 
 def test_product_signatures_refuse_a_disagreeing_condition(monkeypatch):
-    monkeypatch.setattr(wkit.search, "product_condition", lambda products: products[0] == 1)
+    monkeypatch.setattr(wkit.search, "product_condition", lambda products: products[..., 0] == 1)
     with pytest.raises(RuntimeError, match="disagree"):
         _product_signatures(symmetric_table(4))
 

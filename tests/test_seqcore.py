@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     all_pm_tuples,
+    double_odd,
     make_rng,
     random_pm_sequence,
     random_quadruple,
@@ -34,6 +35,8 @@ from wkit.seqcore import (
     row_sum,
     rows_to_text,
     sequence_to_text,
+    stack_quadruples,
+    williamson_rows,
 )
 from wkit.theorems import compress2
 
@@ -253,22 +256,6 @@ def test_oracle_equivalence_random():
         assert is_williamson(q) == matrix_williamson_check(q)
 
 
-def _doubled(q):
-    """A Williamson quadruple of order 2n from one of odd order n.
-
-    C_2n is C_2 x C_n for odd n, position j going to (j mod 2, j mod n);
-    with u the generator of C_2, A+uB, A-uB, C+uD and C-uD have squares
-    summing to 2(A^2+B^2+C^2+D^2) = 8n.
-    """
-    n = q.n
-    a, b, c, d = (s.entries for s in q.sequences())
-
-    def join(even, odd, sign):
-        return seq(*(even[j % n] if j % 2 == 0 else sign * odd[j % n] for j in range(2 * n)))
-
-    return WilliamsonQuadruple(join(a, b, 1), join(a, b, -1), join(c, d, 1), join(c, d, -1))
-
-
 def test_oracle_equivalence_at_large_orders():
     # Orders 17..64, beyond the random test above: random quadruples
     # (almost all fail), doubled Williamson quadruples of orders 18..30,
@@ -278,7 +265,7 @@ def test_oracle_equivalence_at_large_orders():
     for odd in (9, 11, 13, 15):
         found, _ = search(odd)
         for i in rng.sample(range(len(found)), 10):
-            q = _doubled(found[i])
+            q = double_odd(found[i])
             entries = list(q.a.entries)
             k = rng.randrange(1, q.n)
             entries[k] = entries[q.n - k] = -entries[k]
@@ -286,6 +273,24 @@ def test_oracle_equivalence_at_large_orders():
     verdicts = [is_williamson(q) for q in quads]
     assert verdicts == [matrix_williamson_check(q) for q in quads]
     assert sum(verdicts) >= 40
+
+
+def test_williamson_rows_match_is_williamson():
+    # The batched kernel on stacks of one order: random quadruples at
+    # every order 1..64, the exhaustive sets at orders 1..8 and doubled
+    # Williamson quadruples of orders 18..30.
+    rng = make_rng(20261019)
+    stacks = [[random_quadruple(rng, n) for _ in range(12)] for n in range(1, MAX_ORDER + 1)]
+    stacks += [list(search(n)[0]) for n in range(1, 9)]
+    stacks += [[double_odd(q) for q in search(n, canonical_only=True)[0]] for n in (9, 11, 13, 15)]
+    verdicts = []
+    for quads in stacks:
+        rows = stack_quadruples(quads)
+        assert rows.shape == (len(quads), 4, quads[0].n) and rows.dtype == np.int64
+        batched = williamson_rows(rows).tolist()
+        assert batched == [is_williamson(q) for q in quads]
+        verdicts += batched
+    assert True in verdicts and False in verdicts
 
 
 def test_paf_total_over_all_shifts_is_row_sum_squared():

@@ -2,15 +2,20 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import make_rng, random_pm_sequence, random_quadruple, symmetric_tuples
 from wkit.seqcore import PmOneSequence, PreconditionError, WilliamsonQuadruple, row_sum
+from wkit.seqcore import stack_quadruples
 from wkit.theorems import (
     CompressedSequence,
     compress2,
     corollary_mod4_check,
     mod4_filter,
+    mod4_rows,
+    product_condition,
+    product_rows,
     product_theorem_even_check,
     product_theorem_odd_check,
     theorem_filter,
@@ -221,3 +226,51 @@ def test_mod4_filter_equals_product_filter_on_even_orders():
     for _ in range(2000):
         q = random_quadruple(rng, rng.choice((6, 8, 10)))
         assert mod4_filter(q) == theorem_filter(q)
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels
+
+
+def _product_by_definition(q):
+    a, b, c, d = (s.entries for s in q.sequences())
+    p = [a[i] * b[i] * c[i] * d[i] for i in range(q.n)]
+    if q.n % 2:
+        return all(p[i] == -p[0] for i in range(1, (q.n + 1) // 2))
+    m = q.n // 2
+    return all(p[i] == p[i + m] for i in range(m))
+
+
+def _mod4_by_definition(q):
+    if q.n % 2:
+        return True
+    comps = [compress2(s).entries for s in q.sequences()]
+    return all(sum(col) % 4 == 0 for col in zip(*comps))
+
+
+def test_product_and_mod4_rows_follow_the_definitions(found_by_order):
+    # Stacks of one order: random candidates at orders 1..24 (passing and
+    # failing both conditions) and the exhaustive sets at orders 1..8.
+    rng = make_rng(59)
+    stacks = [[random_quadruple(rng, n) for _ in range(30)] for n in range(1, 25)]
+    stacks += [list(quads) for quads, _ in found_by_order.values()]
+    product_verdicts, mod4_verdicts = [], []
+    for quads in stacks:
+        rows = stack_quadruples(quads)
+        products = product_rows(rows).tolist()
+        assert products == [_product_by_definition(q) for q in quads]
+        assert products == [theorem_filter(q) for q in quads]
+        mod4 = mod4_rows(rows).tolist()
+        assert mod4 == [_mod4_by_definition(q) for q in quads]
+        assert mod4 == [mod4_filter(q) for q in quads]
+        product_verdicts += products
+        mod4_verdicts += mod4
+    assert {True, False} <= set(product_verdicts) and {True, False} <= set(mod4_verdicts)
+
+
+def test_product_condition_takes_one_sequence_or_a_stack():
+    rows = np.array([[1, 1, -1, 1, 1, -1], [1, 1, 1, -1, 1, 1]])
+    assert product_condition(rows[0]) and not product_condition(rows[1])
+    assert product_condition(rows[:2]).tolist() == [True, False]
+    assert product_condition([1, -1, -1]) and not product_condition((1, 1, 1))
+    assert product_condition(np.array([[1]])).tolist() == [True]

@@ -8,11 +8,17 @@ For each order in ORDERS a fixed-seed generator writes random symmetric
 quadruple lines whose sequences are drawn without replacement, so no
 sequence repeats in a file and the PAF cache never hits.  Each file has
 LINES lines; order 16 has only 512 symmetric sequences, so its file has
-128.  Each run is one fresh interpreter, with CHECKOUT/src on PYTHONPATH
+128.  Random lines fail the Williamson test, so they time the failing
+path only.  One more file times the passing path, where every theorem
+check runs: the canonical lines that this checkout's `wkit search --n
+WILLIAMSON_ORDER --canonical` prints (1,620 at order 18), which must all
+pass.  Each row names its input, "random" or "williamson".
+
+Each run is one fresh interpreter, with CHECKOUT/src on PYTHONPATH
 (default: this checkout), that imports wkit.cli and times one
 `wkit.cli.main(["verify", "--in", FILE, "--out", OUT])` call: interpreter
 start-up and imports stay out of the number, and every cache starts
-empty.  Each order runs REPEAT times.  Per order the entry keeps every
+empty.  Each file runs REPEAT times.  Per file the entry keeps every
 run's milliseconds per line, their median, the largest peak RSS (the
 child's own ru_maxrss), the line count and a sha256 of the verify output
 as a correctness anchor: equal output gives an equal digest.  The entry
@@ -37,6 +43,7 @@ from bench_search import REPO, append_entry, run_child  # noqa: E402
 
 BENCH_FILE = REPO / "BENCH_verify.json"
 ORDERS = (16, 32, 48, 64)
+WILLIAMSON_ORDER = 18
 LINES = 1000
 REPEAT = 5
 # Run in the child: time one verify call and print seconds and exit status.
@@ -60,13 +67,27 @@ def write_lines(path: Path, n: int) -> int:
     return count
 
 
-def run_once(root: Path, path: Path, out: Path) -> tuple[float, float, str]:
+def write_williamson_lines(path: Path) -> int:
+    """Write the canonical Williamson lines of order WILLIAMSON_ORDER, as
+    this checkout's `wkit search --canonical` prints them, in its order;
+    return their number."""
+    argv = [sys.executable, "-m", "wkit.cli", "search", "--n", str(WILLIAMSON_ORDER), "--canonical"]
+    printed, status, _ = run_child(argv, REPO)
+    if status != 0:
+        raise RuntimeError(f"search at order {WILLIAMSON_ORDER} exited with {status}")
+    lines = [line for line in printed.splitlines() if not line.startswith("#")]
+    path.write_text("".join(line + "\n" for line in lines))
+    return len(lines)
+
+
+def run_once(root: Path, path: Path, out: Path, rcs=("0", "1")) -> tuple[float, float, str]:
     """Seconds of one verify call in a fresh process, its peak RSS in MB
-    and the sha256 of its output."""
+    and the sha256 of its output.  The call must exit with one of `rcs`:
+    random lines fail the Williamson test, so verify exits 1 on them (0
+    if all pass)."""
     printed, status, peak_rss_mb = run_child([sys.executable, "-c", CHILD, str(path), str(out)], root)
     seconds, rc = printed.split()
-    # Random lines are not Williamson, so verify exits 1 (0 if all pass).
-    if status != 0 or rc not in ("0", "1"):
+    if status != 0 or rc not in rcs:
         raise RuntimeError(f"verify of {path} exited with {rc} (process {status})")
     return float(seconds), peak_rss_mb, hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -75,14 +96,18 @@ def measure(root: Path) -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "lines.txt", Path(tmp) / "verdicts.txt"
-        for n in ORDERS:
-            lines = write_lines(path, n)
-            runs = [run_once(root, path, out) for _ in range(REPEAT)]
+        inputs = [(n, "random", ("0", "1")) for n in ORDERS]
+        # The Williamson lines must all pass: verify exits 0.
+        inputs.append((WILLIAMSON_ORDER, "williamson", ("0",)))
+        for n, kind, rcs in inputs:
+            lines = write_lines(path, n) if kind == "random" else write_williamson_lines(path)
+            runs = [run_once(root, path, out, rcs) for _ in range(REPEAT)]
             per_line = [round(1000 * seconds / lines, 4) for seconds, _, _ in runs]
             if len({digest for _, _, digest in runs}) != 1:
-                raise RuntimeError(f"verify output at order {n} differs between runs")
+                raise RuntimeError(f"verify output of {kind} lines at order {n} differs between runs")
             row = {
                 "n": n,
+                "input": kind,
                 "lines": lines,
                 "ms_per_line": round(statistics.median(per_line), 4),
                 "ms_per_line_runs": per_line,
